@@ -159,8 +159,9 @@ int main(int argc, char** argv) {
     for (int pass = 0; pass < 2; ++pass) {
       auto ctx = make_latency_ctx();
       auto in = stage<u64>(*ctx, data);
-      const usize depth = pass == 0 ? 0 : async_depth;
-      auto res = fn(*ctx, in, depth);
+      // The pipeline depth is the context's: sync pass keeps it off.
+      if (pass == 1) ctx->set_async_depth(async_depth);
+      auto res = fn(*ctx, in);
       check_sorted<u64>(res.output, data.size());
       wall[pass] = res.report.wall_seconds;
       ops[pass] = res.report.io.total_ops();
@@ -185,26 +186,23 @@ int main(int argc, char** argv) {
     jw.end_obj();
   };
   overlap_case("ExpectedTwoPass",
-               [&](PdmContext& c, const StripedRun<u64>& in, usize depth) {
+               [&](PdmContext& c, const StripedRun<u64>& in) {
                  ExpectedTwoPassOptions o;
                  o.mem_records = mem;
-                 o.async_depth = depth == 0 ? usize{1} : depth;
                  return expected_two_pass_sort<u64>(c, in, o);
                });
   overlap_case("MultiwayMerge(la=2)",
-               [&](PdmContext& c, const StripedRun<u64>& in, usize depth) {
+               [&](PdmContext& c, const StripedRun<u64>& in) {
                  MultiwaySortOptions o;
                  o.mem_records = mem;
                  o.lookahead = 2;
-                 o.async_depth = depth == 0 ? usize{1} : depth;
                  return multiway_merge_sort<u64>(c, in, o);
                });
   overlap_case("RadixSort",
-               [&](PdmContext& c, const StripedRun<u64>& in, usize depth) {
+               [&](PdmContext& c, const StripedRun<u64>& in) {
                  RadixSortOptions o;
                  o.mem_records = mem;
                  o.key_bits = 32;
-                 o.async_depth = depth == 0 ? usize{1} : depth;
                  auto capped = in.read_all();
                  for (auto& k : capped) k &= 0xFFFFFFFFULL;
                  auto run = write_input_run<u64>(c, std::span<const u64>(capped));

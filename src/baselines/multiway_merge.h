@@ -7,8 +7,6 @@
 // that bench_e12_parallelism quantifies.
 #pragma once
 
-#include <optional>
-
 #include "core/sort_report.h"
 #include "primitives/multiway.h"
 #include "primitives/run_formation.h"
@@ -20,8 +18,6 @@ struct MultiwaySortOptions {
   usize lookahead = 1;     // prefetched blocks per run (0 = naive)
   usize refill_batch = 0;  // 0 = D
   u64 fan_in = 0;          // 0 = maximum that fits in memory
-  ThreadPool* pool = nullptr;
-  usize async_depth = 0;  // >= 2: async I/O pipeline depth; 0 = inherit
 };
 
 /// Predicted pass count: 1 + ceil(log_F(N/M)) for fan-in F.
@@ -52,13 +48,10 @@ SortResult<R> multiway_merge_sort(PdmContext& ctx,
     fan = std::max<u64>(2, (slots - ctx.D()) / (1 + opt.lookahead));
   }
 
-  std::optional<AsyncDepthScope> async_scope;
-  if (opt.async_depth != 0) async_scope.emplace(ctx.aio(), opt.async_depth);
   ReportBuilder rb(ctx, "MultiwayMerge", n, mem, rpb);
 
   RunFormationOptions fopt;
   fopt.run_len = mem;
-  fopt.pool = opt.pool;
   auto runs = form_runs_flat<R>(ctx, input, fopt, cmp);
 
   SortResult<R> result;

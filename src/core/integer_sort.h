@@ -14,7 +14,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "core/sort_report.h"
@@ -330,8 +329,6 @@ struct IntegerSortOptions {
   bool placement_pass = true;  // paper's step A
   bool staged = false;         // extension: carry partial blocks in memory
   BucketPlacement placement = BucketPlacement::kRotation;
-  usize async_depth = 0;  // >= 2: run with the async I/O pipeline at this
-                          // depth for this sort; 0 = inherit the context
 };
 
 template <Record R>
@@ -350,8 +347,6 @@ IntegerSortResult<R> integer_sort(PdmContext& ctx, const StripedRun<R>& input,
   const u64 mem = opt.mem_records;
   PDM_CHECK(opt.range > 0 && opt.range * rpb <= mem,
             "IntegerSort needs range <= M/B");
-  std::optional<AsyncDepthScope> async_scope;
-  if (opt.async_depth != 0) async_scope.emplace(ctx.aio(), opt.async_depth);
   ReportBuilder rb(ctx, "IntegerSort", input.size(), mem, rpb);
 
   IntegerSortResult<R> result;

@@ -22,7 +22,6 @@ struct RadixSortOptions {
   u32 digit_bits = 0;   // 0 = floor(log2(M/B))
   bool staged = false;  // use the staged distribution (extension)
   BucketPlacement placement = BucketPlacement::kRotation;
-  usize async_depth = 0;  // >= 2: async I/O pipeline depth; 0 = inherit
 };
 
 namespace detail {
@@ -36,7 +35,7 @@ struct RadixState {
   BucketPlacement placement;
   StripedRun<R>* out;
   TrackedBuffer<R>* leaf_buf;
-  TrackedBuffer<R>* scratch_buf;  // parallel leaf-sort scratch; null when
+  TrackedBuffer<R>* scratch_buf;  // parallel leaf-sort scratch; empty when
                                   // the kernel budget is 1 (serial path)
   TrackedBuffer<R>* io_buf;  // block-granular staging: a ragged bucket of
                              // <= M records can span far more than M/B
@@ -96,12 +95,8 @@ void radix_recurse(RadixState<R>& st, RecordReader<R>& reader, u32 shift,
     auto cmp = [](const R& a, const R& b) {
       return record_key(a) < record_key(b);
     };
-    if (st.scratch_buf != nullptr) {
-      internal_sort_budgeted(recs, cmp, st.ctx->cpu_pool(),
-                             st.scratch_buf->span());
-    } else {
-      std::sort(recs.begin(), recs.end(), cmp);
-    }
+    internal_sort_budgeted(recs, cmp, st.ctx->cpu_pool(),
+                           st.scratch_buf->span());
     st.out->append(std::span<const R>(recs.data(), recs.size()));
     group_n = 0;
   };
@@ -155,8 +150,6 @@ SortResult<R> radix_sort(PdmContext& ctx, const StripedRun<R>& input,
                     : std::max<u32>(1, ilog2(mem / rpb));
   PDM_CHECK((u64{1} << w) * rpb <= mem, "digit width exceeds M/B buckets");
 
-  std::optional<AsyncDepthScope> async_scope;
-  if (opt.async_depth != 0) async_scope.emplace(ctx.aio(), opt.async_depth);
   ReportBuilder rb(ctx, "RadixSort", input.size(), mem, rpb);
   SortResult<R> result;
   result.output = StripedRun<R>(ctx, 0);
@@ -167,21 +160,14 @@ SortResult<R> radix_sort(PdmContext& ctx, const StripedRun<R>& input,
   if (input.size() <= mem) {
     // Fits in memory: one read + one write pass.
     TrackedBuffer<R> buf(ctx.budget(), static_cast<usize>(mem));
-    TrackedBuffer<R> scratch;  // acquired only on the parallel path
-    if (ctx.cpu_budget() >= 2) {
-      scratch = TrackedBuffer<R>(ctx.budget(), buf.size());
-    }
+    TrackedBuffer<R> scratch = kernel_scratch<R>(ctx, buf.size());
     StripedRunReader<R> reader(input);
     usize n = 0;
     while (!reader.exhausted()) {
       n += reader.read_up_to(buf.data() + n, buf.size() - n);
     }
     std::span<R> recs(buf.data(), n);
-    if (ctx.cpu_budget() >= 2) {
-      internal_sort_budgeted(recs, key_cmp, ctx.cpu_pool(), scratch.span());
-    } else {
-      std::sort(recs.begin(), recs.end(), key_cmp);
-    }
+    internal_sort_budgeted(recs, key_cmp, ctx.cpu_pool(), scratch.span());
     result.output.append(std::span<const R>(recs.data(), n));
     result.output.finish();
     result.report = rb.finish();
@@ -189,10 +175,7 @@ SortResult<R> radix_sort(PdmContext& ctx, const StripedRun<R>& input,
   }
 
   TrackedBuffer<R> leaf_buf(ctx.budget(), static_cast<usize>(mem));
-  TrackedBuffer<R> leaf_scratch;  // acquired only on the parallel path
-  if (ctx.cpu_budget() >= 2) {
-    leaf_scratch = TrackedBuffer<R>(ctx.budget(), leaf_buf.size());
-  }
+  TrackedBuffer<R> leaf_scratch = kernel_scratch<R>(ctx, leaf_buf.size());
   TrackedBuffer<R> io_buf(ctx.budget(), static_cast<usize>(mem));
   detail::RadixState<R> st{&ctx,
                            mem,
@@ -201,7 +184,7 @@ SortResult<R> radix_sort(PdmContext& ctx, const StripedRun<R>& input,
                            opt.placement,
                            &result.output,
                            &leaf_buf,
-                           ctx.cpu_budget() >= 2 ? &leaf_scratch : nullptr,
+                           &leaf_scratch,
                            &io_buf};
   const u32 kb = std::max<u32>(opt.key_bits, 1);
   const u32 top_shift = kb <= w ? 0 : ((kb - 1) / w) * w;

@@ -1,9 +1,10 @@
-// In-memory sorting kernels.
+// In-memory sorting kernel.
 //
 // The PDM model charges nothing for local computation, but the wall-clock
-// benches still want a fast internal sort: internal_sort uses std::sort for
-// small inputs and a chunked parallel mergesort (scratch-based ping-pong)
-// when a pool and scratch space are supplied.
+// benches still want a fast internal sort: internal_sort_budgeted uses
+// std::sort for small inputs or a serial budget, and a chunked parallel
+// mergesort (scratch-based ping-pong) when the context's kernel budget
+// allows it. The thread count is the context's, never a sorter option.
 #pragma once
 
 #include <algorithm>
@@ -11,76 +12,24 @@
 #include <span>
 #include <vector>
 
+#include "pdm/pdm_context.h"
 #include "util/common.h"
 #include "util/cpu_pool.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace pdm {
 
-/// Sorts `data`. If `pool` is non-null and `scratch.size() >= data.size()`,
-/// sorts chunks in parallel and merges pairwise through the scratch buffer;
-/// otherwise falls back to std::sort (in-place, no extra memory).
-template <class R, class Cmp = std::less<R>>
-void internal_sort(std::span<R> data, Cmp cmp = {}, ThreadPool* pool = nullptr,
-                   std::span<R> scratch = {}) {
-  constexpr usize kParallelThreshold = 1u << 15;
-  if (pool == nullptr || scratch.size() < data.size() ||
-      data.size() < kParallelThreshold || pool->size() < 2) {
-    std::sort(data.begin(), data.end(), cmp);
-    return;
-  }
-  const usize n = data.size();
-  const usize chunks0 = std::min<usize>(pool->size(), n / (1u << 13));
-  usize chunks = std::max<usize>(2, chunks0);
-  const usize step = (n + chunks - 1) / chunks;
-
-  std::vector<usize> bounds;
-  for (usize b = 0; b <= n; b += step) bounds.push_back(std::min(b, n));
-  if (bounds.back() != n) bounds.push_back(n);
-
-  pool->parallel_for(0, bounds.size() - 1, [&](usize lo, usize hi) {
-    for (usize i = lo; i < hi; ++i) {
-      std::sort(data.begin() + static_cast<std::ptrdiff_t>(bounds[i]),
-                data.begin() + static_cast<std::ptrdiff_t>(bounds[i + 1]), cmp);
-    }
-  });
-
-  // Pairwise merge rounds, ping-ponging between data and scratch.
-  R* src = data.data();
-  R* dst = scratch.data();
-  while (bounds.size() > 2) {
-    std::vector<usize> next_bounds;
-    next_bounds.push_back(0);
-    const usize pairs = (bounds.size() - 1 + 1) / 2;
-    pool->parallel_for(0, pairs, [&](usize lo, usize hi) {
-      for (usize p = lo; p < hi; ++p) {
-        const usize a = bounds[2 * p];
-        const usize b = bounds[std::min(bounds.size() - 1, 2 * p + 1)];
-        const usize c = bounds[std::min(bounds.size() - 1, 2 * p + 2)];
-        std::merge(src + a, src + b, src + b, src + c, dst + a, cmp);
-      }
-    });
-    for (usize p = 0; p < pairs; ++p) {
-      next_bounds.push_back(bounds[std::min(bounds.size() - 1, 2 * p + 2)]);
-    }
-    bounds = std::move(next_bounds);
-    std::swap(src, dst);
-  }
-  if (src != data.data()) {
-    std::copy(src, src + n, data.data());
-  }
-}
-
-/// Budgeted variant for the in-core kernel layer (PdmContext::cpu_pool()).
+/// Sorts `data` on the in-core kernel budget (PdmContext::cpu_pool()): at
+/// budget >= 2 with `scratch.size() >= data.size()`, sorts chunks in
+/// parallel and merges them pairwise through the scratch buffer.
 ///
 /// Determinism: the chunk tree is a function of n ONLY — never of the
 /// budget — so every budget >= 2 sorts the same chunks and merges the same
 /// pairs, producing identical bytes regardless of how many threads pull
 /// chunks. Budget < 2 (or a small input, or missing scratch) takes plain
-/// std::sort — the exact legacy serial path. The two paths agree
-/// byte-for-byte whenever elements that compare equal are indistinguishable
-/// (true for the repo's key-only record types).
+/// std::sort, in place. The two paths agree byte-for-byte whenever
+/// elements that compare equal are indistinguishable (true for the repo's
+/// key-only record types). Sorters take the scratch from kernel_scratch().
 template <class R, class Cmp = std::less<R>>
 void internal_sort_budgeted(std::span<R> data, Cmp cmp, CpuPool& pool,
                             std::span<R> scratch) {
@@ -127,6 +76,15 @@ void internal_sort_budgeted(std::span<R> data, Cmp cmp, CpuPool& pool,
   if (src != data.data()) {
     std::copy(src, src + n, data.data());
   }
+}
+
+/// Scratch for internal_sort_budgeted over up to `n` records, charged to
+/// the context's memory budget only when its kernel budget is >= 2; at
+/// budget 1 it is empty, so a serial sort's footprint carries no extra.
+template <class R>
+TrackedBuffer<R> kernel_scratch(PdmContext& ctx, usize n) {
+  if (ctx.cpu_budget() < 2) return {};
+  return TrackedBuffer<R>(ctx.budget(), n);
 }
 
 /// Convenience: returns true iff the span is sorted under cmp.

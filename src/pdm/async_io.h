@@ -161,23 +161,4 @@ class AsyncIoScheduler {
   std::exception_ptr error_;
 };
 
-/// RAII depth override: sets the pipeline depth for the lifetime of a
-/// sorter invocation and restores (draining) on scope exit. Sorters apply
-/// it when their options carry an explicit async_depth.
-class AsyncDepthScope {
- public:
-  AsyncDepthScope(AsyncIoScheduler& aio, usize depth)
-      : aio_(&aio), saved_(aio.depth()) {
-    aio_->set_depth(depth);
-  }
-  ~AsyncDepthScope() { aio_->set_depth(saved_); }
-
-  AsyncDepthScope(const AsyncDepthScope&) = delete;
-  AsyncDepthScope& operator=(const AsyncDepthScope&) = delete;
-
- private:
-  AsyncIoScheduler* aio_;
-  usize saved_;
-};
-
 }  // namespace pdm

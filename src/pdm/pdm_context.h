@@ -90,7 +90,8 @@ class PdmContext {
 
   /// Opt-in knob for the double-buffered pipeline: >= 2 enables it with
   /// that many in-flight submissions; 0/1 keeps every I/O synchronous.
-  /// Sorters override it per-invocation via their options' async_depth.
+  /// The depth belongs to the context: no sorter option overrides it, and
+  /// every sorter's report drains in-flight writes before it returns.
   /// Overlap costs memory, all budget-tracked: the ping-pong hot paths
   /// hold one extra load buffer (up to +M records) and the write-behind
   /// ring stages up to 2 in-flight batches — so do not enable it on a

@@ -1,7 +1,7 @@
 // pdm::CpuPool — a budgeted work-span pool for the in-core kernels.
 //
-// Unlike ThreadPool (a plain task queue sized once at construction),
-// CpuPool is built around a *budget*: the number of threads a parallel
+// Every in-core kernel runs here; the pool belongs to the PdmContext, so
+// no sorter carries a threading option. It is built around a *budget*: the number of threads a parallel
 // region may occupy, caller included. The budget is a thread-safe knob an
 // external arbiter (the sort service's CPU-budget arbiter) can raise or
 // lower while the owner is mid-sort; the new value takes effect at the

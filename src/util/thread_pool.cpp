@@ -1,16 +1,10 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace pdm {
 
 ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) {
-    if (const char* env = std::getenv("PDMSORT_THREADS")) {
-      threads = static_cast<unsigned>(std::atoi(env));
-    }
-  }
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }

@@ -1,5 +1,8 @@
-// A small work-stealing-free thread pool used for (a) issuing parallel disk
-// I/O in the file backend and (b) parallel in-memory sorting.
+// A small work-stealing-free thread pool with one job: the file backend's
+// batch fan-out, which issues one batch's pread/pwrite calls concurrently
+// (FileDiskBackend::read_batch/write_batch on ThreadPool::global()). It
+// does no in-memory sorting; the in-core kernels run on the context's
+// budgeted CpuPool (util/cpu_pool.h).
 //
 // Design notes (C++ Core Guidelines CP.*): tasks are plain std::function
 // jobs; the pool is joined in the destructor (RAII); parallel_for blocks the
@@ -19,8 +22,7 @@ namespace pdm {
 
 class ThreadPool {
  public:
-  /// Creates `threads` workers; 0 means hardware_concurrency (respecting
-  /// the PDMSORT_THREADS environment variable when set).
+  /// Creates `threads` workers; 0 means hardware_concurrency.
   explicit ThreadPool(unsigned threads = 0);
   ~ThreadPool();
 

@@ -179,13 +179,14 @@ void expect_async_matches_sync(u64 n, const RunFn& run, u64 seed = 3) {
 
   auto sync_ctx = test::make_ctx<u64>(g);
   auto in_sync = test::stage_input<u64>(*sync_ctx, data);
-  auto out_sync = run(*sync_ctx, in_sync, usize{0});
+  auto out_sync = run(*sync_ctx, in_sync);
   const IoStats sync_stats = sync_ctx->stats();
 
   for (usize depth : {2u, 4u}) {
     auto async_ctx = test::make_ctx<u64>(g);
     auto in_async = test::stage_input<u64>(*async_ctx, data);
-    auto out_async = run(*async_ctx, in_async, depth);
+    async_ctx->set_async_depth(depth);  // the depth belongs to the context
+    auto out_async = run(*async_ctx, in_async);
     async_ctx->aio().drain();
     expect_same_accounting(sync_stats, async_ctx->stats());
     ASSERT_EQ(out_async.size(), out_sync.size());
@@ -195,47 +196,39 @@ void expect_async_matches_sync(u64 n, const RunFn& run, u64 seed = 3) {
 
 TEST(AsyncAlgorithms, ExpectedTwoPass) {
   expect_async_matches_sync(4 * 1024, [](PdmContext& ctx,
-                                         const StripedRun<u64>& in,
-                                         usize depth) {
+                                         const StripedRun<u64>& in) {
     ExpectedTwoPassOptions opt;
     opt.mem_records = 1024;
-    opt.async_depth = depth;
     return expected_two_pass_sort<u64>(ctx, in, opt).output.read_all();
   });
 }
 
 TEST(AsyncAlgorithms, ExpectedThreePass) {
   expect_async_matches_sync(16 * 1024, [](PdmContext& ctx,
-                                          const StripedRun<u64>& in,
-                                          usize depth) {
+                                          const StripedRun<u64>& in) {
     ExpectedThreePassOptions opt;
     opt.mem_records = 1024;
-    opt.async_depth = depth;
     return expected_three_pass_sort<u64>(ctx, in, opt).output.read_all();
   });
 }
 
 TEST(AsyncAlgorithms, MultiwayMerge) {
   expect_async_matches_sync(8 * 1024, [](PdmContext& ctx,
-                                         const StripedRun<u64>& in,
-                                         usize depth) {
+                                         const StripedRun<u64>& in) {
     MultiwaySortOptions opt;
     opt.mem_records = 1024;
     opt.lookahead = 2;
-    opt.async_depth = depth;
     return multiway_merge_sort<u64>(ctx, in, opt).output.read_all();
   });
 }
 
 TEST(AsyncAlgorithms, IntegerSort) {
   expect_async_matches_sync(8 * 1024, [](PdmContext& ctx,
-                                         const StripedRun<u64>& in,
-                                         usize depth) {
+                                         const StripedRun<u64>& in) {
     // IntegerSort needs keys in [0, range): remap the staged input.
     IntegerSortOptions opt;
     opt.mem_records = 1024;
     opt.range = 16;
-    opt.async_depth = depth;
     auto data = in.read_all();
     for (auto& k : data) k %= opt.range;
     auto remapped = write_input_run<u64>(ctx, std::span<const u64>(data));
@@ -246,12 +239,10 @@ TEST(AsyncAlgorithms, IntegerSort) {
 
 TEST(AsyncAlgorithms, RadixSort) {
   expect_async_matches_sync(16 * 1024, [](PdmContext& ctx,
-                                          const StripedRun<u64>& in,
-                                          usize depth) {
+                                          const StripedRun<u64>& in) {
     RadixSortOptions opt;
     opt.mem_records = 1024;
     opt.key_bits = 20;
-    opt.async_depth = depth;
     auto data = in.read_all();
     for (auto& k : data) k &= (u64{1} << 20) - 1;
     auto remapped = write_input_run<u64>(ctx, std::span<const u64>(data));
@@ -272,9 +263,9 @@ TEST(AsyncAlgorithms, FileBackendExpectedTwoPass) {
     auto ctx = make_file_context(g.disks, g.rpb * sizeof(u64),
                                  dir + "/" + std::to_string(pass));
     auto in = test::stage_input<u64>(*ctx, data);
+    if (pass == 1) ctx->set_async_depth(4);
     ExpectedTwoPassOptions opt;
     opt.mem_records = 1024;
-    opt.async_depth = pass == 0 ? 0 : 4;
     outs[pass] = expected_two_pass_sort<u64>(*ctx, in, opt).output.read_all();
     ctx->aio().drain();
     stats[pass] = ctx->stats();

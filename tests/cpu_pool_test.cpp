@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/columnsort.h"
 #include "baselines/multiway_merge.h"
 #include "core/adaptive.h"
 #include "core/integer_sort.h"
@@ -261,6 +262,64 @@ TEST(CpuBudgetInvariance, ThreePassLmm)
     ThreePassLmmOptions opt;
     opt.mem_records = kBigMem;
     return three_pass_lmm_sort<u64>(ctx, in, opt).output.read_all();
+  });
+}
+
+TEST(CpuBudgetInvariance, ThreePassMesh)
+{
+  // N = M^{3/2}: every band and column sort is M = 2^14 records, so the
+  // budgeted kernel takes its parallel path at budgets >= 2.
+  expect_budget_invariant(kBigMem * isqrt(kBigMem),
+                          [](PdmContext& ctx, const StripedRun<u64>& in) {
+                            ThreePassMeshOptions opt;
+                            opt.mem_records = kBigMem;
+                            return three_pass_mesh_sort<u64>(ctx, in, opt)
+                                .output.read_all();
+                          });
+}
+
+TEST(CpuBudgetInvariance, Columnsort)
+{
+  // r = M rows so the column and window sorts clear the kernel threshold
+  // (the derived geometry would pick r = 4096).
+  expect_budget_invariant(8 * kBigMem, [](PdmContext& ctx,
+                                          const StripedRun<u64>& in) {
+    ColumnsortOptions opt;
+    opt.mem_records = kBigMem;
+    opt.rows = kBigMem;
+    opt.cols = 8;
+    return columnsort_cc_sort<u64>(ctx, in, opt).output.read_all();
+  });
+}
+
+TEST(CpuBudgetInvariance, ExpectedSixPass)
+{
+  expect_budget_invariant(8 * kBigMem, [](PdmContext& ctx,
+                                          const StripedRun<u64>& in) {
+    ExpectedSixPassOptions opt;
+    opt.mem_records = kBigMem;
+    return expected_six_pass_sort<u64>(ctx, in, opt).output.read_all();
+  });
+}
+
+TEST(CpuBudgetInvariance, SevenPass)
+{
+  expect_budget_invariant(kBigMem * isqrt(kBigMem),
+                          [](PdmContext& ctx, const StripedRun<u64>& in) {
+                            SevenPassOptions opt;
+                            opt.mem_records = kBigMem;
+                            return seven_pass_sort<u64>(ctx, in, opt)
+                                .output.read_all();
+                          });
+}
+
+TEST(CpuBudgetInvariance, OrderAdaptive)
+{
+  expect_budget_invariant(8 * kBigMem, [](PdmContext& ctx,
+                                          const StripedRun<u64>& in) {
+    OrderAdaptiveOptions opt;
+    opt.mem_records = kBigMem;
+    return order_adaptive_sort<u64>(ctx, in, opt).output.read_all();
   });
 }
 

@@ -1,13 +1,11 @@
-// Edge cases, error paths, and the thread-pool-accelerated internal-sort
-// paths through the sorters.
+// Edge cases and error paths.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <numeric>
 #include <set>
 
-#include "core/three_pass_lmm.h"
-#include "core/three_pass_mesh.h"
+#include "core/adaptive.h"
 #include "pdm/file_backend.h"
 #include "pdm/ragged_run.h"
 #include "primitives/stream.h"
@@ -60,6 +58,33 @@ TEST(ErrorPaths, RaggedRunBadCount) {
   std::vector<u64> v(8, 1);
   EXPECT_THROW((void)run.stage_block(v.data(), 0), Error);
   EXPECT_THROW((void)run.stage_block(v.data(), 9), Error);
+}
+
+TEST(ErrorPaths, InternalSortRaggedBlocksFitTheBuffer) {
+  // M = 1000 is not a multiple of B = 512: the planner picks InternalSort
+  // for N = 1000, whose read lands ceil(N/B) = 2 whole blocks (1024
+  // records). The buffer must hold the whole blocks, not just M records.
+  auto ctx = make_memory_context(4, 512 * sizeof(u64));
+  Rng rng(3);
+  auto data = make_keys(1000, Dist::kUniform, rng);
+  auto in = write_input_run<u64>(*ctx, std::span<const u64>(data));
+  AdaptiveOptions opt;
+  opt.mem_records = 1000;
+  auto res = pdm_sort<u64>(*ctx, in, opt);
+  EXPECT_EQ(res.report.algorithm, "InternalSort");
+  std::sort(data.begin(), data.end());
+  EXPECT_EQ(res.output.read_all(), data);
+}
+
+TEST(ErrorPaths, ForcedInternalSortBeyondMThrows) {
+  auto ctx = make_memory_context(4, 512 * sizeof(u64));
+  Rng rng(4);
+  auto data = make_keys(4096, Dist::kUniform, rng);
+  auto in = write_input_run<u64>(*ctx, std::span<const u64>(data));
+  AdaptiveOptions opt;
+  opt.mem_records = 2048;
+  opt.force = Algo::kInternal;
+  EXPECT_THROW(pdm_sort<u64>(*ctx, in, opt), Error);
 }
 
 TEST(FileBackendExtra, KeepFilesLeavesDataOnDisk) {
@@ -127,60 +152,6 @@ TEST(UnshuffleSinkExtra, PartialCloseFlushesTails) {
   }
   EXPECT_EQ(parts[0].read_all(), (std::vector<u64>{0, 2, 4, 6, 8}));
   EXPECT_EQ(parts[1].read_all(), (std::vector<u64>{1, 3, 5, 7, 9}));
-}
-
-TEST(ParallelSortPath, MeshWithPoolMatchesSerial) {
-  const auto g = Geometry::square(1024);
-  Rng rng(1);
-  auto data = make_keys(static_cast<usize>(1024 * 32), Dist::kUniform, rng);
-  std::vector<u64> serial_out, parallel_out;
-  {
-    auto ctx = test::make_ctx<u64>(g);
-    auto in = test::stage_input<u64>(*ctx, data);
-    ThreePassMeshOptions opt;
-    opt.mem_records = 1024;
-    serial_out = three_pass_mesh_sort<u64>(*ctx, in, opt).output.read_all();
-  }
-  {
-    ThreadPool pool(4);
-    auto ctx = test::make_ctx<u64>(g);
-    auto in = test::stage_input<u64>(*ctx, data);
-    ThreePassMeshOptions opt;
-    opt.mem_records = 1024;
-    opt.pool = &pool;
-    parallel_out = three_pass_mesh_sort<u64>(*ctx, in, opt).output.read_all();
-  }
-  EXPECT_EQ(serial_out, parallel_out);
-}
-
-TEST(ParallelSortPath, LmmWithPoolSameScheduleAndOutput) {
-  // The pool only accelerates in-memory sorting; the I/O schedule (and
-  // hence obliviousness) must be identical.
-  const auto g = Geometry::square(1024);
-  Rng rng(2);
-  auto data = make_keys(static_cast<usize>(1024 * 16), Dist::kUniform, rng);
-  u64 h_serial, h_parallel;
-  std::vector<u64> out_serial, out_parallel;
-  {
-    auto ctx = test::make_ctx<u64>(g);
-    auto in = test::stage_input<u64>(*ctx, data);
-    ThreePassLmmOptions opt;
-    opt.mem_records = 1024;
-    out_serial = three_pass_lmm_sort<u64>(*ctx, in, opt).output.read_all();
-    h_serial = ctx->stats().schedule_hash;
-  }
-  {
-    ThreadPool pool(4);
-    auto ctx = test::make_ctx<u64>(g);
-    auto in = test::stage_input<u64>(*ctx, data);
-    ThreePassLmmOptions opt;
-    opt.mem_records = 1024;
-    opt.pool = &pool;
-    out_parallel = three_pass_lmm_sort<u64>(*ctx, in, opt).output.read_all();
-    h_parallel = ctx->stats().schedule_hash;
-  }
-  EXPECT_EQ(out_serial, out_parallel);
-  EXPECT_EQ(h_serial, h_parallel);
 }
 
 TEST(TableExtra, FmtCountBoundaries) {
