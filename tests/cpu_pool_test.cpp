@@ -201,43 +201,96 @@ void expect_same_io(const IoStats& a, const IoStats& b, usize budget) {
   EXPECT_DOUBLE_EQ(a.sim_time_s, b.sim_time_s) << "budget " << budget;
 }
 
-// Runs `sort_fn` on identical staged input at CPU budgets {1, 2, 4} and
-// requires byte-identical records and I/O accounting including the
-// schedule hash: the CPU budget must be invisible to everything but wall
-// clock. M = 16384 so leaf sorts and partitions clear the parallel
-// kernels' 2^14-record threshold.
+// The fingerprint of one sort: a checksum of the output records plus the
+// I/O accounting. Each test pins it as recorded constants, so a change
+// meant to preserve behaviour (a deleted option, a folded driver) is
+// checked against the values of earlier builds, not only against another
+// configuration of the same build.
+struct IoPin {
+  u64 checksum;  // order-dependent FNV-1a fold of the output records
+  u64 read_ops, write_ops, blocks_read, blocks_written;
+  u64 read_calls, write_calls, schedule_hash;
+  friend bool operator==(const IoPin&, const IoPin&) = default;
+};
+
+// Prints in initializer syntax, so a failure shows the constant to pin.
+std::ostream& operator<<(std::ostream& os, const IoPin& p) {
+  return os << std::hex << "{0x" << p.checksum << std::dec << ", "
+            << p.read_ops << ", " << p.write_ops << ", " << p.blocks_read
+            << ", " << p.blocks_written << ", " << p.read_calls << ", "
+            << p.write_calls << ", 0x" << std::hex << p.schedule_hash
+            << std::dec << "}";
+}
+
+IoPin io_pin(const std::vector<u64>& out, const IoStats& s) {
+  u64 h = 14695981039346656037ULL;
+  for (u64 x : out) h = (h ^ x) * 1099511628211ULL;
+  return IoPin{h,          s.read_ops,       s.write_ops,
+               s.blocks_read, s.blocks_written, s.read_calls,
+               s.write_calls, s.schedule_hash};
+}
+
+// Pinned fingerprints of one sort, synchronous and at async depth 4.
+struct SortPins {
+  IoPin sync;
+  IoPin async4;
+};
+
+// Runs `sort_fn` on identical staged input at CPU budgets {1, 2, 4}, then
+// once more at async depth 4 and budget 4, and requires byte-identical
+// records and I/O accounting including the schedule hash: the CPU budget
+// must be invisible to everything but wall clock. The synchronous budget-1
+// run and the depth-4 run must also match their pinned fingerprints (the
+// schedule hash legitimately differs between depths, see
+// AsyncPlusCpuMatchesSerial). M = 16384 so leaf sorts and partitions clear
+// the parallel kernels' 2^14-record threshold.
 constexpr u64 kBigMem = 16384;
 
 template <class Fn>
-void expect_budget_invariant(u64 n, Fn&& sort_fn) {
+void expect_budget_invariant(u64 n, const SortPins& pins, Fn&& sort_fn) {
   std::vector<u64> out0;
   IoStats stats0;
-  for (usize budget : {1u, 2u, 4u}) {
+  struct Config {
+    usize depth;
+    usize budget;
+  };
+  for (const Config c : {Config{0, 1}, Config{0, 2}, Config{0, 4},
+                         Config{4, 4}}) {
     auto ctx = test::make_ctx<u64>(Geometry::square(kBigMem), 5);
     Rng rng(1234);
     auto data = make_keys(n, Dist::kUniform, rng);
     auto in = test::stage_input<u64>(*ctx, data);
-    ctx->set_cpu_budget(budget);
+    if (c.depth >= 2) ctx->set_async_depth(c.depth);
+    ctx->set_cpu_budget(c.budget);
     auto out = sort_fn(*ctx, in);
+    ctx->aio().drain();
     ASSERT_EQ(out.size(), data.size());
-    if (budget == 1) {
+    if (c.depth == 0 && c.budget == 1) {
       out0 = std::move(out);
       stats0 = ctx->stats();
       // Some sorters remap keys before staging (integer/radix ranges), so
       // assert order rather than equality with the original data.
       EXPECT_TRUE(std::is_sorted(out0.begin(), out0.end()));
+      EXPECT_EQ(io_pin(out0, stats0), pins.sync) << "synchronous fingerprint";
     } else {
-      EXPECT_EQ(out, out0) << "budget " << budget
+      EXPECT_EQ(out, out0) << "depth " << c.depth << " budget " << c.budget
                            << ": records differ from serial run";
-      expect_same_io(ctx->stats(), stats0, budget);
+      if (c.depth == 0) {
+        expect_same_io(ctx->stats(), stats0, c.budget);
+      } else {
+        EXPECT_EQ(io_pin(out, ctx->stats()), pins.async4)
+            << "depth-" << c.depth << " fingerprint";
+      }
     }
   }
 }
 
 TEST(CpuBudgetInvariance, InternalSort)
 {
-  expect_budget_invariant(kBigMem, [](PdmContext& ctx,
-                                      const StripedRun<u64>& in) {
+  expect_budget_invariant(kBigMem,
+      {{0x8d24d3d98295c40e, 8, 4, 256, 128, 64, 32, 0x20c490c589092465},
+       {0x8d24d3d98295c40e, 8, 4, 256, 128, 64, 32, 0x20c490c589092465}},
+      [](PdmContext& ctx, const StripedRun<u64>& in) {
     AdaptiveOptions opt;
     opt.mem_records = kBigMem;
     opt.force = Algo::kInternal;
@@ -247,8 +300,10 @@ TEST(CpuBudgetInvariance, InternalSort)
 
 TEST(CpuBudgetInvariance, ExpectedTwoPass)
 {
-  expect_budget_invariant(4 * kBigMem, [](PdmContext& ctx,
-                                          const StripedRun<u64>& in) {
+  expect_budget_invariant(4 * kBigMem,
+      {{0xc91f42e38a56fbdc, 48, 32, 1536, 1024, 672, 224, 0xf395f7c94ce961a5},
+       {0xc91f42e38a56fbdc, 48, 32, 1536, 1024, 672, 224, 0xeeaa940484b5dfa5}},
+      [](PdmContext& ctx, const StripedRun<u64>& in) {
     ExpectedTwoPassOptions opt;
     opt.mem_records = kBigMem;
     return expected_two_pass_sort<u64>(ctx, in, opt).output.read_all();
@@ -257,8 +312,10 @@ TEST(CpuBudgetInvariance, ExpectedTwoPass)
 
 TEST(CpuBudgetInvariance, ThreePassLmm)
 {
-  expect_budget_invariant(8 * kBigMem, [](PdmContext& ctx,
-                                          const StripedRun<u64>& in) {
+  expect_budget_invariant(8 * kBigMem,
+      {{0x79d29bc41a32536f, 128, 96, 4096, 3072, 2336, 2272, 0x4d563f9b87ae53e5},
+       {0x79d29bc41a32536f, 128, 96, 4096, 3072, 2336, 2272, 0x38bd395771bcd2e5}},
+      [](PdmContext& ctx, const StripedRun<u64>& in) {
     ThreePassLmmOptions opt;
     opt.mem_records = kBigMem;
     return three_pass_lmm_sort<u64>(ctx, in, opt).output.read_all();
@@ -270,20 +327,23 @@ TEST(CpuBudgetInvariance, ThreePassMesh)
   // N = M^{3/2}: every band and column sort is M = 2^14 records, so the
   // budgeted kernel takes its parallel path at budgets >= 2.
   expect_budget_invariant(kBigMem * isqrt(kBigMem),
-                          [](PdmContext& ctx, const StripedRun<u64>& in) {
-                            ThreePassMeshOptions opt;
-                            opt.mem_records = kBigMem;
-                            return three_pass_mesh_sort<u64>(ctx, in, opt)
-                                .output.read_all();
-                          });
+      {{0x46f8e42013eb2ab2, 2048, 1536, 65536, 49152, 24640, 24544, 0x1a9cc45d0260c065},
+       {0x46f8e42013eb2ab2, 2048, 1536, 65536, 49152, 24640, 24544, 0x1a9cc45d0260c065}},
+      [](PdmContext& ctx, const StripedRun<u64>& in) {
+    ThreePassMeshOptions opt;
+    opt.mem_records = kBigMem;
+    return three_pass_mesh_sort<u64>(ctx, in, opt).output.read_all();
+  });
 }
 
 TEST(CpuBudgetInvariance, Columnsort)
 {
   // r = M rows so the column and window sorts clear the kernel threshold
   // (the derived geometry would pick r = 4096).
-  expect_budget_invariant(8 * kBigMem, [](PdmContext& ctx,
-                                          const StripedRun<u64>& in) {
+  expect_budget_invariant(8 * kBigMem,
+      {{0x79d29bc41a32536f, 192, 160, 4096, 3072, 2338, 2338, 0xd3aa4ee9b86e5455},
+       {0x79d29bc41a32536f, 192, 160, 4096, 3072, 2338, 2338, 0xd3aa4ee9b86e5455}},
+      [](PdmContext& ctx, const StripedRun<u64>& in) {
     ColumnsortOptions opt;
     opt.mem_records = kBigMem;
     opt.rows = kBigMem;
@@ -294,8 +354,10 @@ TEST(CpuBudgetInvariance, Columnsort)
 
 TEST(CpuBudgetInvariance, ExpectedSixPass)
 {
-  expect_budget_invariant(8 * kBigMem, [](PdmContext& ctx,
-                                          const StripedRun<u64>& in) {
+  expect_budget_invariant(8 * kBigMem,
+      {{0x79d29bc41a32536f, 264, 224, 5120, 4096, 3360, 2528, 0xf616e10fcc87a925},
+       {0x79d29bc41a32536f, 264, 224, 5120, 4096, 3360, 2528, 0xfbcd09bc60ae1825}},
+      [](PdmContext& ctx, const StripedRun<u64>& in) {
     ExpectedSixPassOptions opt;
     opt.mem_records = kBigMem;
     return expected_six_pass_sort<u64>(ctx, in, opt).output.read_all();
@@ -305,18 +367,21 @@ TEST(CpuBudgetInvariance, ExpectedSixPass)
 TEST(CpuBudgetInvariance, SevenPass)
 {
   expect_budget_invariant(kBigMem * isqrt(kBigMem),
-                          [](PdmContext& ctx, const StripedRun<u64>& in) {
-                            SevenPassOptions opt;
-                            opt.mem_records = kBigMem;
-                            return seven_pass_sort<u64>(ctx, in, opt)
-                                .output.read_all();
-                          });
+      {{0x46f8e42013eb2ab2, 3072, 2560, 98304, 81920, 57408, 45024, 0x57f872d6fcb3d265},
+       {0x46f8e42013eb2ab2, 3072, 2560, 98304, 81920, 57408, 45024, 0xceb9076eade07165}},
+      [](PdmContext& ctx, const StripedRun<u64>& in) {
+    SevenPassOptions opt;
+    opt.mem_records = kBigMem;
+    return seven_pass_sort<u64>(ctx, in, opt).output.read_all();
+  });
 }
 
 TEST(CpuBudgetInvariance, OrderAdaptive)
 {
-  expect_budget_invariant(8 * kBigMem, [](PdmContext& ctx,
-                                          const StripedRun<u64>& in) {
+  expect_budget_invariant(8 * kBigMem,
+      {{0x79d29bc41a32536f, 595, 70, 3074, 2050, 1314, 2050, 0x5d46900003c676a9},
+       {0x79d29bc41a32536f, 595, 70, 3074, 2050, 1314, 2050, 0x74abf56219d2e5c9}},
+      [](PdmContext& ctx, const StripedRun<u64>& in) {
     OrderAdaptiveOptions opt;
     opt.mem_records = kBigMem;
     return order_adaptive_sort<u64>(ctx, in, opt).output.read_all();
@@ -325,8 +390,10 @@ TEST(CpuBudgetInvariance, OrderAdaptive)
 
 TEST(CpuBudgetInvariance, ExpectedThreePass)
 {
-  expect_budget_invariant(16 * kBigMem, [](PdmContext& ctx,
-                                           const StripedRun<u64>& in) {
+  expect_budget_invariant(16 * kBigMem,
+      {{0x5633fb17fb939035, 272, 192, 8192, 6144, 3136, 1472, 0xe5736ca56dfa1ea5},
+       {0x5633fb17fb939035, 272, 192, 8192, 6144, 3136, 1472, 0x7126ba94fcf1af25}},
+      [](PdmContext& ctx, const StripedRun<u64>& in) {
     ExpectedThreePassOptions opt;
     opt.mem_records = kBigMem;
     return expected_three_pass_sort<u64>(ctx, in, opt).output.read_all();
@@ -335,8 +402,10 @@ TEST(CpuBudgetInvariance, ExpectedThreePass)
 
 TEST(CpuBudgetInvariance, MultiwayMerge)
 {
-  expect_budget_invariant(8 * kBigMem, [](PdmContext& ctx,
-                                          const StripedRun<u64>& in) {
+  expect_budget_invariant(8 * kBigMem,
+      {{0x79d29bc41a32536f, 194, 64, 3072, 2048, 1312, 1280, 0x70ecd781df52de3},
+       {0x79d29bc41a32536f, 194, 64, 3072, 2048, 1312, 1280, 0x1923a5f11896e1e3}},
+      [](PdmContext& ctx, const StripedRun<u64>& in) {
     MultiwaySortOptions opt;
     opt.mem_records = kBigMem;
     opt.lookahead = 2;
@@ -346,8 +415,10 @@ TEST(CpuBudgetInvariance, MultiwayMerge)
 
 TEST(CpuBudgetInvariance, IntegerSort)
 {
-  expect_budget_invariant(4 * kBigMem, [](PdmContext& ctx,
-                                          const StripedRun<u64>& in) {
+  expect_budget_invariant(4 * kBigMem,
+      {{0xfb93297686dfc9e6, 61, 56, 1567, 1055, 703, 713, 0x7eddc78dfd23f50},
+       {0xfb93297686dfc9e6, 61, 56, 1567, 1055, 703, 660, 0x275aaafa5bf5b8f0}},
+      [](PdmContext& ctx, const StripedRun<u64>& in) {
     IntegerSortOptions opt;
     opt.mem_records = kBigMem;
     opt.range = 16;
@@ -361,8 +432,10 @@ TEST(CpuBudgetInvariance, IntegerSort)
 
 TEST(CpuBudgetInvariance, RadixSort)
 {
-  expect_budget_invariant(8 * kBigMem, [](PdmContext& ctx,
-                                          const StripedRun<u64>& in) {
+  expect_budget_invariant(8 * kBigMem,
+      {{0x819214b6565e3c9d, 167, 155, 4283, 3259, 2305, 1437, 0x27394ed22a32bf98},
+       {0x819214b6565e3c9d, 167, 155, 4283, 3259, 2305, 1406, 0x18f73f315fc3325e}},
+      [](PdmContext& ctx, const StripedRun<u64>& in) {
     RadixSortOptions opt;
     opt.mem_records = kBigMem;
     opt.key_bits = 24;
@@ -380,7 +453,11 @@ TEST(CpuBudgetInvariance, AsyncPlusCpuMatchesSerial)
   // CPU budget parallelizes the in-core leaves. At a FIXED depth the CPU
   // budget must be invisible, schedule hash included; across depths the
   // hash legitimately moves (prefetch reorders batches relative to each
-  // other — see async_io_test), so only records are compared there.
+  // other — see async_io_test), so only records are compared there. Each
+  // depth's fingerprint is pinned.
+  const IoPin pins[2] = {
+      {0xf3f654c30f2e26bc, 48, 32, 1536, 1024, 672, 224, 0xf395f7c94ce961a5},
+      {0xf3f654c30f2e26bc, 48, 32, 1536, 1024, 672, 224, 0xeeaa940484b5dfa5}};
   std::vector<u64> out_any;
   for (usize depth : {usize{0}, usize{4}}) {
     std::vector<u64> out0;
@@ -396,6 +473,8 @@ TEST(CpuBudgetInvariance, AsyncPlusCpuMatchesSerial)
       opt.mem_records = kBigMem;
       auto out = expected_two_pass_sort<u64>(*ctx, in, opt).output.read_all();
       ctx->aio().drain();
+      EXPECT_EQ(io_pin(out, ctx->stats()), pins[depth == 0 ? 0 : 1])
+          << "depth " << depth << " cpu " << cpu;
       if (cpu == 1) {
         out0 = std::move(out);
         stats0 = ctx->stats();

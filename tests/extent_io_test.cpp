@@ -1,10 +1,8 @@
 // Extent layer tests: allocator contiguity / region separation / free-list
 // reuse (incl. a concurrent stress run for TSan), and end-to-end
 // equivalence of the coalesced I/O path — sync vs async, memory vs file
-// backends must produce byte-identical disks and identical IoStats, and
-// the coalesced path must move exactly the same blocks (and ops, hence
-// passes) as the block-at-a-time baseline while issuing far fewer backend
-// calls.
+// backends must produce byte-identical disks and identical IoStats — plus
+// a service sort whose ops, blocks and backend calls are pinned.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +13,7 @@
 #include "pdm/file_backend.h"
 #include "pdm/memory_backend.h"
 #include "pdm/striped_run.h"
+#include "service/sort_service.h"
 #include "test_support.h"
 #include "util/generators.h"
 
@@ -244,54 +243,49 @@ TEST(ExtentIo, WriteBehindStagesExtentRequests) {
   EXPECT_EQ(ctx->stats().write_calls, 1u);
 }
 
-// A full external sort with extents+coalescing must move exactly the same
-// blocks (and parallel ops — hence pass counts — and schedule hash
-// composition per batch) as the block-at-a-time baseline, with a fraction
-// of the backend calls, and produce the same sorted output.
-TEST(ExtentIo, CoalescedSortMatchesBlockAtATimeBaseline) {
-  // Geometry with multi-block per-disk spans per logical stream (each
-  // unshuffle part covers several blocks of every disk), the shape the
-  // extent layer is built for; degenerate geometries where every stream
-  // touches each disk once per batch coalesce less, but identically on
-  // both arms.
+// One sort job through a default-config SortService (one worker): the
+// whole extent path — region-scoped 32-block extents, coalesced batches,
+// the pipeline depth the service grants — pinned to recorded IoStats. The
+// ops and blocks are those of the block-at-a-time backend path this layer
+// replaced (single-block allocation, no coalescing: 512 calls each way for
+// the sort), so coalescing changed how many calls move the blocks, never
+// how many parallel ops (hence passes) they cost.
+TEST(ExtentIo, ServiceSortFingerprintIsPinned) {
   const u64 mem = 4096;
   const usize rpb = 64;
   Rng rng(5);
   auto data = make_keys(4 * mem, Dist::kPermutation, rng);
-
-  auto run_arm = [&](bool extents, IoStats* stats_out) {
-    auto ctx = make_memory_context(4, rpb * sizeof(u64), 3);
-    if (!extents) {
-      ctx->set_extent_blocks(1);
-      ctx->io().set_coalescing(false);
-    }
-    ctx->set_async_depth(4);
-    auto in = write_input_run<u64>(*ctx, std::span<const u64>(data));
-    ctx->io().reset_stats();
-    AdaptiveOptions o;
-    o.mem_records = mem;
-    auto res = pdm_sort<u64>(*ctx, in, o);
-    ctx->aio().drain();
-    *stats_out = ctx->stats();
-    auto v = res.output.read_all();
-    EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
-    EXPECT_EQ(v.size(), data.size());
-    return v;
-  };
-
-  IoStats ext{}, base{};
-  const auto out_ext = run_arm(true, &ext);
-  const auto out_base = run_arm(false, &base);
-  EXPECT_EQ(out_ext, out_base);
-  EXPECT_EQ(ext.read_ops, base.read_ops) << "coalescing changed pass counts";
-  EXPECT_EQ(ext.write_ops, base.write_ops);
-  EXPECT_EQ(ext.blocks_read, base.blocks_read);
-  EXPECT_EQ(ext.blocks_written, base.blocks_written);
-  EXPECT_EQ(ext.disk_reads, base.disk_reads);
-  EXPECT_EQ(ext.disk_writes, base.disk_writes);
-  EXPECT_EQ(base.coalesced_ratio(), 1.0);
-  EXPECT_GT(ext.coalesced_ratio(), 2.0);
-  EXPECT_LT(ext.total_calls(), base.total_calls() / 2);
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  SortService svc(std::make_shared<MemoryDiskBackend>(4, rpb * sizeof(u64)),
+                  cfg);
+  SortJobSpec spec;
+  spec.name = "pinned";
+  spec.mem_records = mem;
+  std::vector<u64> out;
+  const JobId id = svc.submit<u64>(
+      spec, data, {},
+      [&](const SortResult<u64>& r) { out = r.output.read_all(); });
+  const JobInfo info = svc.wait(id);
+  ASSERT_EQ(info.state, JobState::kDone) << info.error;
+  std::sort(data.begin(), data.end());
+  EXPECT_EQ(out, data);
+  const IoStats& io = info.report.io;
+  EXPECT_EQ(info.algorithm, "ExpectedTwoPass");
+  EXPECT_EQ(io.read_ops, 128u);
+  EXPECT_EQ(io.write_ops, 128u);
+  EXPECT_EQ(io.blocks_read, 512u);
+  EXPECT_EQ(io.blocks_written, 512u);
+  EXPECT_EQ(io.read_calls, 80u);
+  EXPECT_EQ(io.write_calls, 32u);
+  // The whole job: staging, sort and the callback's readback.
+  EXPECT_EQ(info.io.read_ops, 192u);
+  EXPECT_EQ(info.io.write_ops, 192u);
+  EXPECT_EQ(info.io.blocks_read, 768u);
+  EXPECT_EQ(info.io.blocks_written, 768u);
+  EXPECT_EQ(info.io.read_calls, 88u);
+  EXPECT_EQ(info.io.write_calls, 36u);
+  EXPECT_GT(io.coalesced_ratio(), 2.0);
 }
 
 }  // namespace
