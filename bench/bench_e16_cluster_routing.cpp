@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   const double gate = cli.get_double("gate", 1.5);
   const double elastic_gate = cli.get_double("elastic_gate", 1.2);
   const bool file_arm = cli.get_u64("file_arm", 1) != 0;
-  const std::string json_out = cli.get("json_out", "BENCH_PR10.json");
+  const std::string json_out = cli.get("json_out", "BENCH_PR13.json");
   // --trace_out=FILE / --metrics=1: phase-tracer dump and metrics
   // registry exposition (shared serving-bench flags, bench_support.h).
   const std::string trace_out = trace_begin(cli);

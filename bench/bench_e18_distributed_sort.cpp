@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   const u32 oversample = static_cast<u32>(cli.get_u64("oversample", 64));
   const u64 repeats = cli.get_u64("repeats", 3);
   const double gate = cli.get_double("dist_gate", 2.5);
-  const std::string json_out = cli.get("json_out", "BENCH_PR10.json");
+  const std::string json_out = cli.get("json_out", "BENCH_PR13.json");
   // --trace_out=FILE / --metrics=1: phase-tracer dump and metrics
   // registry exposition (shared serving-bench flags, bench_support.h).
   const std::string trace_out = trace_begin(cli);

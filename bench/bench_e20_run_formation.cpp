@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   const auto g = Geom::square(mem);
   const u64 n = cli.get_u64("n", 8 * mem);
   const double wall_slack = cli.get_double("wall_slack", 1.25);
-  const std::string json_out = cli.get("json_out", "BENCH_PR10.json");
+  const std::string json_out = cli.get("json_out", "BENCH_PR13.json");
 
   JsonWriter jw;
   jw.begin_obj();
@@ -199,8 +199,9 @@ int main(int argc, char** argv) {
   jw.key("gate_pass").value(gate_pass);
   jw.end_obj();
   if (!json_out.empty()) {
+    // No metrics section: this bench runs no service, so its registry
+    // would overwrite e19's (CPU-arbiter gauges) with a near-empty one.
     json_file_update(json_out, "e20_run_formation", jw.str());
-    json_file_update(json_out, "metrics", metrics_json_section());
     std::cout << "wrote section e20_run_formation -> " << json_out << "\n";
   }
   std::cout << "Expected shape: the probed planner sorts the near-sorted "

@@ -5,8 +5,16 @@
 // primitives/multiway.h). Not oblivious: the I/O schedule is data
 // dependent, which is precisely the contrast with the paper's algorithms
 // that bench_e12_parallelism quantifies.
+//
+// The same driver is the order-adaptive sort: with an adaptive run-
+// formation mode (replacement selection or up/down runs) it forms fewer,
+// longer runs and merges them exactly as it merges fixed ones — run
+// generation followed by an ordinary multiway merge (Bender et al.). On
+// nearly-sorted input formation emits a single run and the sort finishes
+// in one pass.
 #pragma once
 
+#include "core/order_adaptive.h"
 #include "core/sort_report.h"
 #include "primitives/multiway.h"
 #include "primitives/run_formation.h"
@@ -15,9 +23,11 @@ namespace pdm {
 
 struct MultiwaySortOptions {
   u64 mem_records = 0;
-  usize lookahead = 1;     // prefetched blocks per run (0 = naive)
-  usize refill_batch = 0;  // 0 = D
-  u64 fan_in = 0;          // 0 = maximum that fits in memory
+  usize lookahead = 1;  // prefetched blocks per run (0 = naive)
+  u64 fan_in = 0;       // 0 = maximum that fits in memory
+  // Run formation: fixed runs of M records, or an adaptive mode
+  // (replacement selection, up/down runs) reported as "OrderAdaptive".
+  RunFormationMode mode = RunFormationMode::kFixed;
 };
 
 /// Predicted pass count: 1 + ceil(log_F(N/M)) for fan-in F.
@@ -41,29 +51,25 @@ SortResult<R> multiway_merge_sort(PdmContext& ctx,
   const u64 mem = opt.mem_records;
   const u64 n = input.size();
   PDM_CHECK(mem % rpb == 0, "M must be a multiple of B");
-  u64 fan = opt.fan_in;
-  if (fan == 0) {
-    const u64 slots = mem / rpb;
-    PDM_CHECK(slots > ctx.D() + 2, "memory too small for merging");
-    fan = std::max<u64>(2, (slots - ctx.D()) / (1 + opt.lookahead));
-  }
+  const u64 fan = opt.fan_in != 0
+                      ? opt.fan_in
+                      : order_adaptive_fan_in(mem, rpb, ctx.D(), opt.lookahead);
 
-  ReportBuilder rb(ctx, "MultiwayMerge", n, mem, rpb);
+  ReportBuilder rb(ctx,
+                   opt.mode == RunFormationMode::kFixed ? "MultiwayMerge"
+                                                        : "OrderAdaptive",
+                   n, mem, rpb);
 
   RunFormationOptions fopt;
   fopt.run_len = mem;
+  fopt.mode = opt.mode;
   auto runs = form_runs_flat<R>(ctx, input, fopt, cmp);
 
-  SortResult<R> result;
-  u64 level = 0;
-  while (true) {
-    if (runs.size() == 1) {
-      // Already one sorted run: it is the output (no extra pass).
-      result.output = std::move(runs[0]);
-      break;
-    }
+  // Merge levels until one run is left (a single formed run is already
+  // the output: no extra pass). multiway_merge_pass honours per-run sizes
+  // and partial final blocks, so variable-length runs need nothing else.
+  while (runs.size() > 1) {
     std::vector<StripedRun<R>> next;
-    const bool final_level = runs.size() <= fan;
     for (usize g = 0; g < runs.size(); g += fan) {
       const usize cnt = std::min<usize>(fan, runs.size() - g);
       std::span<const StripedRun<R>> group(runs.data() + g, cnt);
@@ -72,18 +78,14 @@ SortResult<R> multiway_merge_sort(PdmContext& ctx,
       MergePassOptions mopt;
       mopt.mem_records = mem;
       mopt.lookahead = opt.lookahead;
-      mopt.refill_batch = opt.refill_batch;
       multiway_merge_pass<R>(ctx, group, sink, mopt, cmp);
       next.push_back(std::move(merged));
     }
     runs = std::move(next);
-    ++level;
-    if (final_level) {
-      PDM_ASSERT(runs.size() == 1, "final merge level left multiple runs");
-      result.output = std::move(runs[0]);
-      break;
-    }
   }
+  PDM_ASSERT(runs.size() == 1, "merge levels left no single run");
+  SortResult<R> result;
+  result.output = std::move(runs[0]);
   PDM_ASSERT(result.output.size() == n, "multiway record count mismatch");
   result.report = rb.finish();
   return result;

@@ -27,9 +27,8 @@ void note_hold_depth(usize depth) {
 Cluster::Cluster(BackendFactory make_backend, ClusterConfig cfg)
     : make_backend_(std::move(make_backend)),
       cfg_(cfg),
-      router_(cfg.shards, cfg.policy, cfg.router_seed, cfg.ring_vnodes),
+      router_(cfg.shards, cfg.policy),
       jobs_per_shard_(cfg.shards, 0) {
-  router_.set_spill_promote_after(cfg.spill_promote_after);
   // Mirror span durations into the metrics registry so metrics_text()
   // shows per-phase totals next to the trace (idempotent).
   metrics::install_span_histograms();
@@ -134,8 +133,8 @@ Cluster::PlaceResult Cluster::place_locked(const SortJobSpec& spec,
   // Overflow spill: the preferred shard would reject this job outright
   // (its carve exceeds the whole shard budget). Retry on the least-loaded
   // shard that can admit it before letting the rejection stand; after
-  // spill_promote_after consecutive spills the router pins the tenant to
-  // its spill target and stops re-scanning (sticky spill-back).
+  // ShardRouter::kSpillPromoteAfter consecutive spills the router pins the
+  // tenant to its spill target and stops re-scanning (sticky spill-back).
   const u32 alt = router_.least_loaded_where(loads, preferred, fits_ever);
   if (alt != ShardRouter::kNone) {
     ++spilled_;
@@ -245,8 +244,7 @@ void Cluster::pump_locked() {
       const double est =
           svc.estimate_run_s(h.job.spec, h.job.record_bytes, h.job.n);
       const double ratio = svc.deadline_cal();
-      const double cal =
-          svc.config().deadline_calibration && ratio > 0 ? ratio : 1.0;
+      const double cal = ratio > 0 ? ratio : 1.0;
       const double remaining =
           h.job.spec.deadline_s - seconds(Clock::now() - h.t_submit);
       if (est > 0 && est * cal > remaining) {
@@ -371,6 +369,9 @@ void Cluster::pump_locked() {
 
 JobId Cluster::submit_prepared(PreparedJob job) {
   PDM_CHECK(job.run != nullptr, "submit_prepared: empty job");
+  // Before placement: admission_carve keys the shards' plan caches by
+  // alpha, and a NaN key would break the caches' ordering.
+  check_alpha(job.spec.alpha);
   // Cluster admission is the id minting point for routed jobs (range
   // sub-jobs arrive with ids already assigned by submit_distributed).
   if (job.spec.trace_id == 0) job.spec.trace_id = jobtrace::mint();

@@ -94,22 +94,13 @@ struct ClusterConfig {
   /// non-empty): heterogeneous clusters, e.g. one big-memory shard.
   std::vector<ServiceConfig> shard_configs;
 
+  /// Placement policy. Whatever the policy, sticky spill-back applies:
+  /// after ShardRouter::kSpillPromoteAfter consecutive overflow spills of
+  /// one locality key, the router pins the key to its latest spill target
+  /// instead of re-scanning every submission; the target becomes the
+  /// tenant's new preferred shard until it, too, stops fitting (which
+  /// re-pins on the next spill) or is drained (which dissolves the pin).
   RoutePolicy policy = RoutePolicy::kLeastLoaded;
-  u64 router_seed = 1;
-
-  /// Sticky spill-back: after this many consecutive overflow spills of one
-  /// locality key, the router pins the key to its latest spill target
-  /// instead of re-scanning every submission (0 disables); the target
-  /// becomes the tenant's new preferred shard until it, too, stops
-  /// fitting (which re-pins on the next spill) or is drained (which
-  /// dissolves the pin).
-  u32 spill_promote_after = 3;
-
-  /// Virtual nodes per shard on the kLocalityHash consistent-hash ring;
-  /// more vnodes = more uniform shard shares and remap fractions closer
-  /// to 1/N (relative spread ~1/sqrt(vnodes)), at O(vnodes * shards)
-  /// ring memory.
-  u32 ring_vnodes = 256;
 
   /// Retention for cluster-held terminal records (retired shards' jobs
   /// and hold-queue terminals): keep at most this many, FIFO-evicted
@@ -182,6 +173,7 @@ class Cluster {
     PDM_CHECK(!data.empty(), "submit_distributed: empty dataset");
     PDM_CHECK(spec.mem_records > 0,
               "submit_distributed: SortJobSpec.mem_records must be > 0");
+    check_alpha(spec.alpha);
     const auto t0 = Clock::now();
     // The distributed job's causal id: partition/coordinate/concat spans
     // are stamped with it, and every range sub-job carries it as parent.

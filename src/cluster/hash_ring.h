@@ -1,14 +1,16 @@
 // Consistent-hash ring with virtual nodes: the placement structure that
 // makes cluster topology changes cheap.
 //
-// Each shard owns `vnodes` points on a u64 ring (splitmix64 of the
+// Each shard owns kVnodesPerShard points on a u64 ring (splitmix64 of the
 // (shard, replica) pair — deterministic across processes, so tests can
 // script exact topologies). A key routes to the shard owning the first
 // point clockwise from the key's hash. Adding a shard claims only the
 // arcs its new points cut out of existing owners — every remapped key
 // moves TO the new shard, nothing else moves at all — and the claimed
-// fraction concentrates around vnodes independent draws of arc length,
-// i.e. ~1/N of the keyspace with relative spread ~1/sqrt(vnodes).
+// fraction concentrates around kVnodesPerShard independent draws of arc
+// length, i.e. ~1/N of the keyspace with relative spread
+// ~1/sqrt(kVnodesPerShard) (1/16 at 256 vnodes, for O(256 * shards) ring
+// memory).
 // Removing a shard is the mirror image: only its own keys move, released
 // to the clockwise survivors. That is the property the elastic cluster
 // leans on: a topology change disturbs ~1/N of the locality keys (plan
@@ -25,10 +27,8 @@ namespace pdm {
 
 class HashRing {
  public:
-  explicit HashRing(u32 vnodes_per_shard = 256)
-      : vnodes_(std::max<u32>(1, vnodes_per_shard)) {}
+  static constexpr u32 kVnodesPerShard = 256;
 
-  u32 vnodes_per_shard() const noexcept { return vnodes_; }
   bool empty() const noexcept { return points_.empty(); }
   usize size() const noexcept { return points_.size(); }
 
@@ -36,8 +36,8 @@ class HashRing {
   /// added twice — the points would double and skew its arc share).
   void add(u32 shard) {
     PDM_CHECK(!contains(shard), "hash ring: shard already present");
-    points_.reserve(points_.size() + vnodes_);
-    for (u32 r = 0; r < vnodes_; ++r) {
+    points_.reserve(points_.size() + kVnodesPerShard);
+    for (u32 r = 0; r < kVnodesPerShard; ++r) {
       points_.push_back(Point{point_hash(shard, r), shard});
     }
     std::sort(points_.begin(), points_.end());
@@ -90,7 +90,6 @@ class HashRing {
     return finalize((u64{shard} << 32) | u64{replica});
   }
 
-  u32 vnodes_;
   std::vector<Point> points_;  // sorted by ring position
 };
 

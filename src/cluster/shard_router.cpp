@@ -21,9 +21,8 @@ u64 locality_hash(const std::string& key) {
   return h;
 }
 
-ShardRouter::ShardRouter(usize shards, RoutePolicy policy, u64 seed,
-                         u32 ring_vnodes)
-    : policy_(policy), ring_(ring_vnodes), rng_(seed) {
+ShardRouter::ShardRouter(usize shards, RoutePolicy policy)
+    : policy_(policy), rng_(1) {
   PDM_CHECK(shards > 0, "router needs at least one shard");
   active_.reserve(shards);
   for (u32 i = 0; i < shards; ++i) {
@@ -58,15 +57,15 @@ u32 ShardRouter::round_robin() {
 }
 
 void ShardRouter::note_spill(const std::string& key, u32 to_shard) {
-  if (spill_promote_after_ == 0 || key.empty()) return;
+  if (key.empty()) return;
   if (sticky_.size() >= kStickyCap && !sticky_.contains(key)) {
     // Bounded tenant tracking: drop an arbitrary entry (re-promotion only
-    // costs the evicted tenant spill_promote_after more scans).
+    // costs the evicted tenant kSpillPromoteAfter more scans).
     sticky_.erase(sticky_.begin());
   }
   Sticky& s = sticky_[key];
   s.target = to_shard;
-  if (!s.pinned && ++s.streak >= spill_promote_after_) s.pinned = true;
+  if (!s.pinned && ++s.streak >= kSpillPromoteAfter) s.pinned = true;
 }
 
 void ShardRouter::note_preferred_ok(const std::string& key) {

@@ -30,7 +30,7 @@
 // Sticky spill-back: a keyed tenant whose preferred shard keeps refusing
 // its jobs (admission carve above the shard budget) spills on every
 // submission — a full load scan each time, landing wherever happens to be
-// lightest. After `spill_promote_after` consecutive spills of one key the
+// lightest. After kSpillPromoteAfter consecutive spills of one key the
 // router pins that key to its latest spill target: subsequent placements
 // go there directly (any policy), no re-scan — the spill target becomes
 // the tenant's new preferred home. If the pinned shard later stops
@@ -87,10 +87,13 @@ class ShardRouter {
   /// "No shard" sentinel returned by the scans below.
   static constexpr u32 kNone = 0xffffffffu;
 
-  /// Starts with shards 0..shards-1 active. `ring_vnodes` is the virtual
-  /// node count per shard on the locality ring (see HashRing).
-  ShardRouter(usize shards, RoutePolicy policy, u64 seed = 1,
-              u32 ring_vnodes = 256);
+  /// Consecutive spills of one locality key before its placement sticks
+  /// to the spill target (sticky spill-back).
+  static constexpr u32 kSpillPromoteAfter = 3;
+
+  /// Starts with shards 0..shards-1 active. The least-loaded policy's
+  /// sampling RNG is seeded with 1, so placement is reproducible.
+  ShardRouter(usize shards, RoutePolicy policy);
 
   RoutePolicy policy() const noexcept { return policy_; }
 
@@ -112,13 +115,8 @@ class ShardRouter {
   /// policy while its target is active.
   u32 place(const SortJobSpec& spec, std::span<const ShardLoad> loads);
 
-  /// Consecutive spills of one locality key before its placement sticks
-  /// to the spill target; 0 (default) disables sticky spill-back.
-  void set_spill_promote_after(u32 n) { spill_promote_after_ = n; }
-  u32 spill_promote_after() const noexcept { return spill_promote_after_; }
-
   /// Records that a keyed job spilled from its preferred shard to
-  /// `to_shard`; promotes the key after spill_promote_after consecutive
+  /// `to_shard`; promotes the key after kSpillPromoteAfter consecutive
   /// spills. Unkeyed jobs (empty key) are ignored.
   void note_spill(const std::string& key, u32 to_shard);
 
@@ -152,7 +150,7 @@ class ShardRouter {
   struct Sticky {
     u32 streak = 0;       // consecutive spills
     u32 target = 0;       // latest spill destination
-    bool pinned = false;  // streak reached spill_promote_after
+    bool pinned = false;  // streak reached kSpillPromoteAfter
   };
 
   u32 round_robin();
@@ -162,7 +160,6 @@ class ShardRouter {
   HashRing ring_;
   u64 rr_ = 0;
   Rng rng_;
-  u32 spill_promote_after_ = 0;
   std::map<std::string, Sticky> sticky_;
   static constexpr usize kStickyCap = 4096;  // bound on tracked tenants
 };

@@ -209,9 +209,7 @@ struct AdaptiveOptions {
   u64 mem_records = 0;
   double alpha = 1.0;
   std::optional<Algo> force;  // override the planner
-  u64 est_runs = 0;           // presortedness estimate (0 = none)
-  bool probe = false;         // probe the input when est_runs == 0
-  RunFormationMode adaptive_mode = RunFormationMode::kReplacementSelection;
+  bool probe = false;         // probe the input for presortedness first
 };
 
 /// Sorts with the planner-selected algorithm.
@@ -219,9 +217,8 @@ template <Record R, class Cmp = std::less<R>>
 SortResult<R> pdm_sort(PdmContext& ctx, const StripedRun<R>& input,
                        const AdaptiveOptions& opt, Cmp cmp = {}) {
   const usize rpb = ctx.rpb<R>();
-  u64 est_runs = opt.est_runs;
-  if (!opt.force.has_value() && est_runs == 0 && opt.probe &&
-      input.size() > opt.mem_records) {
+  u64 est_runs = 0;
+  if (!opt.force.has_value() && opt.probe && input.size() > opt.mem_records) {
     est_runs =
         probe_presortedness<R>(ctx, input, opt.mem_records, cmp).est_runs;
   }
@@ -290,10 +287,10 @@ SortResult<R> pdm_sort(PdmContext& ctx, const StripedRun<R>& input,
       return multiway_merge_sort<R>(ctx, input, o, cmp);
     }
     case Algo::kOrderAdaptive: {
-      OrderAdaptiveOptions o;
+      MultiwaySortOptions o;
       o.mem_records = opt.mem_records;
-      o.mode = opt.adaptive_mode;
-      return order_adaptive_sort<R>(ctx, input, o, cmp);
+      o.mode = RunFormationMode::kReplacementSelection;
+      return multiway_merge_sort<R>(ctx, input, o, cmp);
     }
   }
   fail("unreachable: unknown algorithm");

@@ -1,12 +1,15 @@
-// Order-adaptive external sort: replacement-selection (or up/down) run
-// formation followed by forecasting multiway merge levels over the
-// variable-length runs. On random input this behaves like the multiway
-// baseline with half the runs (expected run length 2M, Bender et al.);
-// on nearly-sorted input run formation emits a single run and the sort
-// finishes in one pass — strictly fewer than any fixed-run plan.
+// Order-adaptive planning: the presortedness probe and the pass model of
+// order-adaptive sorting. The sort itself is multiway_merge_sort with an
+// adaptive run-formation mode (baselines/multiway_merge.h): replacement-
+// selection (or up/down) runs followed by forecasting multiway merge
+// levels over the variable-length runs. On random input this behaves like
+// the fixed-run multiway sort with half the runs (expected run length 2M,
+// Bender et al.); on nearly-sorted input run formation emits a single run
+// and the sort finishes in one pass — strictly fewer than any fixed-run
+// plan.
 //
 // The planner cannot know the run count without looking at the data, so
-// this header also provides the cheap presortedness probe: O(M) sampled
+// this header provides the cheap presortedness probe: O(M) sampled
 // comparisons at lag M estimate the replacement-selection run count
 // (adjacent-pair descents would be wrong — they miss displacement
 // magnitude entirely; a k-displaced permutation with k = M/2 looks almost
@@ -18,9 +21,7 @@
 #include <functional>
 #include <span>
 
-#include "core/sort_report.h"
-#include "primitives/multiway.h"
-#include "primitives/run_formation.h"
+#include "pdm/striped_run.h"
 
 namespace pdm {
 
@@ -111,17 +112,8 @@ PresortednessProbe probe_presortedness(PdmContext& ctx,
   return p;
 }
 
-struct OrderAdaptiveOptions {
-  u64 mem_records = 0;
-  RunFormationMode mode = RunFormationMode::kReplacementSelection;
-  usize lookahead = 1;     // forecasting prefetch per run (0 = naive)
-  usize refill_batch = 0;  // 0 = D
-  u64 fan_in = 0;          // 0 = maximum that fits in memory
-};
-
-/// Merge fan-in at the given shape (same memory split as the multiway
-/// baseline: one active + `lookahead` forecast blocks per run, D blocks of
-/// write headroom).
+/// Merge fan-in of multiway_merge_sort at the given shape: one active +
+/// `lookahead` forecast blocks per run, D blocks of write headroom.
 inline u64 order_adaptive_fan_in(u64 mem, u64 rpb, u32 disks,
                                  usize lookahead = 1) {
   const u64 slots = mem / rpb;
@@ -140,57 +132,6 @@ inline double order_adaptive_predicted_passes(u64 est_runs, u64 fan_in) {
     levels += 1;
   }
   return 1.0 + levels;
-}
-
-template <Record R, class Cmp = std::less<R>>
-SortResult<R> order_adaptive_sort(PdmContext& ctx, const StripedRun<R>& input,
-                                  const OrderAdaptiveOptions& opt,
-                                  Cmp cmp = {}) {
-  const usize rpb = ctx.rpb<R>();
-  const u64 mem = opt.mem_records;
-  const u64 n = input.size();
-  PDM_CHECK(mem % rpb == 0, "M must be a multiple of B");
-  PDM_CHECK(opt.mode != RunFormationMode::kFixed,
-            "use multiway_merge_sort for fixed runs");
-  const u64 fan = opt.fan_in != 0
-                      ? opt.fan_in
-                      : order_adaptive_fan_in(mem, rpb, ctx.D(), opt.lookahead);
-
-  ReportBuilder rb(ctx, "OrderAdaptive", n, mem, rpb);
-
-  RunFormationOptions fopt;
-  fopt.run_len = mem;
-  fopt.mode = opt.mode;
-  auto runs = form_runs_flat<R>(ctx, input, fopt, cmp);
-
-  // Merge levels over the variable-length runs: multiway_merge_pass
-  // already honors per-run sizes and partial final blocks, so nothing
-  // about the level loop cares that runs are no longer uniform.
-  SortResult<R> result;
-  while (true) {
-    if (runs.size() == 1) {
-      result.output = std::move(runs[0]);
-      break;
-    }
-    std::vector<StripedRun<R>> next;
-    for (usize g = 0; g < runs.size(); g += fan) {
-      const usize cnt = std::min<usize>(static_cast<usize>(fan),
-                                        runs.size() - g);
-      std::span<const StripedRun<R>> group(runs.data() + g, cnt);
-      StripedRun<R> merged(ctx, static_cast<u32>(g % ctx.D()));
-      RunSink<R> sink(merged);
-      MergePassOptions mopt;
-      mopt.mem_records = mem;
-      mopt.lookahead = opt.lookahead;
-      mopt.refill_batch = opt.refill_batch;
-      multiway_merge_pass<R>(ctx, group, sink, mopt, cmp);
-      next.push_back(std::move(merged));
-    }
-    runs = std::move(next);
-  }
-  PDM_ASSERT(result.output.size() == n, "order-adaptive record count mismatch");
-  result.report = rb.finish();
-  return result;
 }
 
 }  // namespace pdm

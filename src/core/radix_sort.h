@@ -19,9 +19,7 @@ namespace pdm {
 struct RadixSortOptions {
   u64 mem_records = 0;
   u32 key_bits = 64;    // significant key bits (keys < 2^key_bits)
-  u32 digit_bits = 0;   // 0 = floor(log2(M/B))
   bool staged = false;  // use the staged distribution (extension)
-  BucketPlacement placement = BucketPlacement::kRotation;
 };
 
 namespace detail {
@@ -32,7 +30,6 @@ struct RadixState {
   u64 mem;
   u32 digit_bits;
   bool staged;
-  BucketPlacement placement;
   StripedRun<R>* out;
   TrackedBuffer<R>* leaf_buf;
   TrackedBuffer<R>* scratch_buf;  // parallel leaf-sort scratch; empty when
@@ -55,7 +52,7 @@ void radix_recurse(RadixState<R>& st, RecordReader<R>& reader, u32 shift,
                               ((u64{1} << w) - 1));
   };
   auto dist = distribute_pass<R>(*st.ctx, reader, u32{1} << w, st.mem,
-                                 st.staged, digit, st.placement);
+                                 st.staged, digit);
   ++st.rounds;
 
   // Leaf handling batches *groups* of consecutive small buckets: their key
@@ -145,9 +142,7 @@ SortResult<R> radix_sort(PdmContext& ctx, const StripedRun<R>& input,
                          const RadixSortOptions& opt) {
   const usize rpb = ctx.rpb<R>();
   const u64 mem = opt.mem_records;
-  const u32 w = opt.digit_bits != 0
-                    ? opt.digit_bits
-                    : std::max<u32>(1, ilog2(mem / rpb));
+  const u32 w = std::max<u32>(1, ilog2(mem / rpb));  // floor(log2(M/B))
   PDM_CHECK((u64{1} << w) * rpb <= mem, "digit width exceeds M/B buckets");
 
   ReportBuilder rb(ctx, "RadixSort", input.size(), mem, rpb);
@@ -181,7 +176,6 @@ SortResult<R> radix_sort(PdmContext& ctx, const StripedRun<R>& input,
                            mem,
                            w,
                            opt.staged,
-                           opt.placement,
                            &result.output,
                            &leaf_buf,
                            &leaf_scratch,

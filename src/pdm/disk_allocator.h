@@ -28,9 +28,9 @@
 //  - open_region()/close_region() bracket a job's lifetime (PdmContext
 //    does this automatically); close recycles the region's arena tails.
 //    Region 0 is the always-open default region with no arena: it
-//    allocates exact-size spans straight from the free list / cursor,
-//    preserving the legacy block-interleaved behaviour for callers that
-//    opt out of extents.
+//    allocates exact-size spans straight from the free list / cursor, for
+//    direct callers outside any context (PdmContext always allocates in
+//    its own region).
 //
 // Thread-safe: one allocator is shared by every job context of a sort
 // service, so two concurrent sorts can never be handed the same block.

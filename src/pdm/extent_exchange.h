@@ -5,11 +5,11 @@
 // one output means every range crosses the shard boundary exactly once.
 // The transfer must not regress to block-at-a-time I/O: a StripedRun's
 // blocks were carved from extent-sized contiguous spans per disk
-// (DiskAllocator::alloc_extent), so a batch of D * extent_blocks
+// (DiskAllocator::alloc_extent), so a batch of D * kExtentBlocks
 // consecutive block reads presents each disk with one contiguous span the
 // IoScheduler coalesces into a single preadv-style vectored transfer (one
 // seek per disk per batch instead of one per block — see IoScheduler's
-// extent coalescing and bench_e17).
+// extent coalescing).
 //
 // export_run below chunks the run into such batches. The chunk size also
 // bounds the request-vector footprint: a multi-GB run never materializes
@@ -28,8 +28,7 @@ namespace pdm {
 /// disk, the largest span the scheduler can merge into one vectored op.
 template <Record R>
 u64 exchange_span_blocks(const StripedRun<R>& run) {
-  const usize per_disk = std::max<usize>(usize{1}, run.ctx().extent_blocks());
-  return static_cast<u64>(per_disk) * run.ctx().D();
+  return u64{PdmContext::kExtentBlocks} * run.ctx().D();
 }
 
 /// Reads the whole finished run into `dst` (size run.size()), batching

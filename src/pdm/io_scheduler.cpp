@@ -163,12 +163,8 @@ u64 IoScheduler::account_read(std::span<const ReadReq> reqs) {
   stats_.read_ops += rounds;
   stats_.blocks_read += blocks;
   stats_.sim_time_s += sim;
-  if (coalescing_) {
-    coalesce_batch<ReadReq>(reqs, backend_->block_bytes(),
-                            backend_->num_disks(), co_reads_);
-  } else {
-    co_reads_.assign(reqs.begin(), reqs.end());
-  }
+  coalesce_batch<ReadReq>(reqs, backend_->block_bytes(), backend_->num_disks(),
+                          co_reads_);
   co_read_rounds_ = count_req_rounds<ReadReq>(co_reads_, backend_->num_disks());
   stats_.read_calls += co_reads_.size();
   for (const auto& c : co_reads_) ++stats_.disk_read_calls[c.where.disk];
@@ -217,12 +213,8 @@ u64 IoScheduler::account_write(std::span<const WriteReq> reqs) {
   stats_.write_ops += rounds;
   stats_.blocks_written += blocks;
   stats_.sim_time_s += sim;
-  if (coalescing_) {
-    coalesce_batch<WriteReq>(reqs, backend_->block_bytes(),
-                             backend_->num_disks(), co_writes_);
-  } else {
-    co_writes_.assign(reqs.begin(), reqs.end());
-  }
+  coalesce_batch<WriteReq>(reqs, backend_->block_bytes(),
+                           backend_->num_disks(), co_writes_);
   co_write_rounds_ =
       count_req_rounds<WriteReq>(co_writes_, backend_->num_disks());
   stats_.write_calls += co_writes_.size();

@@ -99,7 +99,7 @@ struct IoStats {
 
   /// Mean blocks moved per backend request (>= 1): how well the extent
   /// layer coalesced the logical block stream into physical transfers.
-  /// 1.0 = block-at-a-time; extent_blocks is the ceiling.
+  /// 1.0 = block-at-a-time; PdmContext::kExtentBlocks is the ceiling.
   double coalesced_ratio() const {
     return total_calls() == 0
                ? 0.0

@@ -41,7 +41,8 @@ namespace pdm {
 /// cache (seq_us or seek_us), the remaining count-1 blocks are charged
 /// seq_us and counted as stream hits — so even under a thrashing cache,
 /// extent-sized transfers amortize the seek over the whole span. This is
-/// how the coalescing win shows up in the simulator (bench_e17).
+/// how the coalescing win shows up in the simulator (17.5x over
+/// block-at-a-time I/O in BENCH_PR6.json).
 struct StreamModel {
   u64 seq_us = 0;         // per-block service time on a stream hit
   u64 seek_us = 0;        // per-block service time on a stream miss

@@ -13,6 +13,11 @@
 //    the shared thread-safe allocator guarantees two jobs are never handed
 //    the same block. An optional SharedIoTotals mirrors every accounting
 //    charge into a service-wide aggregate.
+//
+// Either way the context opens its own allocator region, and its runs
+// allocate extents of up to kExtentBlocks blocks inside it; its scheduler
+// always coalesces. Neither is configurable: the block-at-a-time layout
+// and execution they replaced are gone (see IoScheduler).
 #pragma once
 
 #include <atomic>
@@ -66,18 +71,14 @@ class PdmContext {
   /// regions instead of interleaving block-by-block.
   u32 alloc_region() const noexcept { return region_; }
 
-  /// Blocks per allocation extent for this context's runs (the ceiling on
-  /// per-syscall coalescing). <= 1 restores legacy single-block bump
-  /// allocation in the shared default region — the block-interleaved
-  /// baseline the extent benches compare against.
-  usize extent_blocks() const noexcept { return extent_blocks_; }
-  void set_extent_blocks(usize blocks) { extent_blocks_ = blocks; }
+  /// Blocks per allocation extent for this context's runs: the ceiling on
+  /// per-syscall coalescing. Big enough that a memory-load read costs a
+  /// handful of syscalls per disk, small enough that tail waste (recycled
+  /// at finish()) stays negligible.
+  static constexpr usize kExtentBlocks = 32;
 
-  /// Allocates one block on `disk` inside this context's region (or the
-  /// shared default region when extents are disabled).
-  BlockRef alloc_block(u32 disk) {
-    return alloc_->alloc(disk, extent_blocks_ > 1 ? region_ : 0);
-  }
+  /// Allocates one block on `disk` inside this context's region.
+  BlockRef alloc_block(u32 disk) { return alloc_->alloc(disk, region_); }
 
   /// The co-ownable backend handle, for spawning job contexts that share
   /// this machine's disks.
@@ -177,18 +178,11 @@ class PdmContext {
   std::unique_ptr<DiskAllocator> own_alloc_;  // null for job contexts
   DiskAllocator* alloc_;
   u32 region_ = 0;
-  usize extent_blocks_ = kDefaultExtentBlocks;
   Rng rng_;
   CpuPool cpu_pool_;  // kernel threads; budget 1 = serial (default)
   const std::atomic<bool>* cancel_ = nullptr;
   u64 trace_id_ = 0;
   u64 parent_trace_id_ = 0;
-
- public:
-  /// Default run-extent size: big enough that a memory-load read costs a
-  /// handful of syscalls per disk, small enough that tail waste (recycled
-  /// at finish()) stays negligible.
-  static constexpr usize kDefaultExtentBlocks = 32;
 };
 
 /// Convenience factories.

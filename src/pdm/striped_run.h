@@ -5,17 +5,17 @@
 // staggered start disks — occupy distinct disks and move in one parallel
 // I/O.
 //
-// Physically, each disk's share of the stripe is carved from extents
-// (ctx.extent_blocks() contiguous blocks at a time, inside the context's
-// allocator region), so logical blocks k, k+D, k+2D, ... of a run sit at
-// consecutive disk addresses: a bulk read or write of the run coalesces
-// into one extent-sized syscall per disk (see IoScheduler). finish() —
-// and, for runs abandoned by a cancelled or failed pass, the destructor
-// — returns the unconsumed extent tails to the allocator's free list,
-// so tail fragmentation is transient. Runs must not outlive their
-// context (they never did; the destructor now relies on it). With ctx.extent_blocks() <= 1 the run
-// falls back to legacy single-block bump allocation in the shared default
-// region (the block-interleaved baseline).
+// Physically, each disk's share of the stripe is carved from extents (up
+// to PdmContext::kExtentBlocks contiguous blocks at a time, inside the
+// context's allocator region), so logical blocks k, k+D, k+2D, ... of a
+// run sit at consecutive disk addresses: a bulk read or write of the run
+// coalesces into one extent-sized syscall per disk (see IoScheduler).
+// This is the only allocation path; concurrent jobs' runs never
+// interleave block-by-block. finish() — and, for runs abandoned by a
+// cancelled or failed pass, the destructor — returns the unconsumed
+// extent tails to the allocator's free list, so tail fragmentation is
+// transient. Runs must not outlive their context (the destructor relies
+// on it).
 #pragma once
 
 #include <algorithm>
@@ -259,15 +259,7 @@ class StripedRun {
   BlockRef alloc_next_block() {
     const u32 disk =
         static_cast<u32>((start_disk_ + blocks_.size()) % ctx_->D());
-    const usize eb = ctx_->extent_blocks();
-    if (eb <= 1) {
-      // Legacy path: single blocks, region selection via the context's
-      // one implementation of the convention — concurrent runs
-      // interleave block-by-block, nothing coalesces.
-      BlockRef ref = ctx_->alloc_block(disk);
-      blocks_.push_back(ref);
-      return ref;
-    }
+    constexpr u64 eb = PdmContext::kExtentBlocks;
     if (extents_.empty()) {
       extents_.assign(ctx_->D(), Extent{});
       grow_.assign(ctx_->D(), kInitialExtentBlocks);

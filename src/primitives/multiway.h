@@ -36,7 +36,6 @@ struct MergePassOptions {
   u64 mem_records = 0;    // memory cap for buffers
   usize lookahead = 1;    // prefetched blocks per run beyond the current one
                           // (0 = naive demand paging)
-  usize refill_batch = 0;  // blocks fetched per forecast batch; 0 = D
 };
 
 /// Merges `runs` (each sorted) into `sink`. One pass over the data; the
@@ -52,11 +51,11 @@ void multiway_merge_pass(PdmContext& ctx,
   const usize slots = k * (1 + opt.lookahead);
   PDM_CHECK(static_cast<u64>(slots + ctx.D()) * rpb <= opt.mem_records,
             "merge buffers exceed memory (reduce fan-in or lookahead)");
-  // Batch size for forecast refills: capped by the fan-in (at most one
-  // pending block per run per batch) so small merges still refill in
-  // batches instead of waiting for D free slots that can never accumulate.
-  const usize refill_batch =
-      std::min<usize>(k, opt.refill_batch != 0 ? opt.refill_batch : ctx.D());
+  // Batch size for forecast refills: D blocks, capped by the fan-in (at
+  // most one pending block per run per batch) so small merges still refill
+  // in batches instead of waiting for D free slots that can never
+  // accumulate.
+  const usize refill_batch = std::min<usize>(k, ctx.D());
 
   TrackedBuffer<R> slab(ctx.budget(), slots * rpb);
   PipelineDrainGuard drain_guard(ctx.aio());  // after the slab it guards

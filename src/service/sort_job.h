@@ -56,8 +56,8 @@ struct SortJobSpec {
   std::string name;
 
   /// The M records the planner budgets this job with (required, > 0).
-  /// The service carves `carve_bytes` (or mem_slack * M * record size)
-  /// out of its memory budget before the job may start.
+  /// The service carves `carve_bytes` (or SortService::kMemSlack * M *
+  /// record size) out of its memory budget before the job may start.
   u64 mem_records = 0;
 
   /// Higher priorities are admitted first; FIFO within a priority.
@@ -75,7 +75,7 @@ struct SortJobSpec {
   double deadline_s = 0;
 
   /// Explicit memory carve override in bytes; 0 derives it from
-  /// mem_records and the record size via ServiceConfig::mem_slack.
+  /// mem_records and the record size (see SortService::admission_carve).
   usize carve_bytes = 0;
 
   /// Stable routing key for cluster serving: jobs sharing a locality key

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 
 #include "util/jobtrace.h"
 #include "util/metrics.h"
@@ -62,8 +63,6 @@ SortService::SortService(std::shared_ptr<DiskBackend> backend,
       budget_(cfg.total_memory_bytes),
       io_totals_(backend_->num_disks()) {
   PDM_CHECK(cfg_.workers > 0, "SortService needs at least one worker");
-  PDM_CHECK(cfg_.mem_slack >= 1.0, "mem_slack below 1 cannot stage a sort");
-  PDM_CHECK(cfg_.batch_max > 0, "batch_max must be positive");
   workers_.reserve(cfg_.workers);
   for (usize i = 0; i < cfg_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -89,7 +88,7 @@ namespace {
 /// budget per algorithm across geometries (measured minima: InternalSort
 /// 3.0M; the LMM family 4.0M + 8·D·B at square-ish geometries, up to
 /// 5.0M at extreme M/B ratios) and padded ~10-15%. Algorithms not
-/// calibrated here fall back to the conservative uniform mem_slack.
+/// calibrated here fall back to the conservative uniform kMemSlack.
 struct AdmissionSlack {
   double m_mult = 0;
   double block_overhead = 0;
@@ -112,6 +111,15 @@ AdmissionSlack algo_admission_slack(Algo a) {
   }
 }
 
+/// Bytes from a double, saturating at the largest usize: a carve that
+/// does not fit must read as "too big to admit", never wrap (casting an
+/// out-of-range double is undefined behaviour).
+usize saturating_bytes(double bytes) {
+  constexpr usize kMax = std::numeric_limits<usize>::max();
+  return bytes >= static_cast<double>(kMax) ? kMax
+                                            : static_cast<usize>(bytes);
+}
+
 }  // namespace
 
 usize SortService::admission_carve(const SortJobSpec& spec,
@@ -119,7 +127,7 @@ usize SortService::admission_carve(const SortJobSpec& spec,
   if (spec.carve_bytes != 0) return spec.carve_bytes;
   const double mrec_bytes = static_cast<double>(spec.mem_records) *
                             static_cast<double>(record_bytes);
-  const auto uniform = static_cast<usize>(cfg_.mem_slack * mrec_bytes);
+  const usize uniform = saturating_bytes(kMemSlack * mrec_bytes);
   // Parallel in-core kernels acquire tracked scratch (ping-pong merge
   // buffers) only when the job's CPU grant is >= 2: one extra M-load for
   // the internal sort, up to two for the LMM family's cleanup window.
@@ -130,18 +138,16 @@ usize SortService::admission_carve(const SortJobSpec& spec,
   double par_mult = cfg_.cpu_threads_total >= 2 ? 2.0 : 0.0;
   usize base = uniform;
   const usize bb = backend_->block_bytes();
-  if (cfg_.plan_aware_admission && n > 0 && record_bytes > 0 &&
-      bb % record_bytes == 0) {
+  if (n > 0 && record_bytes > 0 && bb % record_bytes == 0) {
     if (auto e = plans_.try_entry(n, spec.mem_records, bb / record_bytes,
                                   spec.alpha)) {
       const AdmissionSlack s = algo_admission_slack(e->algo);
       if (s.calibrated) {
-        const auto carve = static_cast<usize>(
+        const usize carve = saturating_bytes(
             s.m_mult * mrec_bytes +
             s.block_overhead * static_cast<double>(backend_->num_disks()) *
                 static_cast<double>(bb));
-        // Never raise a carve above the conservative bound: a tighter
-        // global mem_slack keeps capping every admission.
+        // Never raise a carve above the conservative uniform bound.
         base = std::min(carve, uniform);
         if (cfg_.cpu_threads_total >= 2) {
           par_mult = e->algo == Algo::kInternal ? 1.0 : 2.0;
@@ -149,7 +155,9 @@ usize SortService::admission_carve(const SortJobSpec& spec,
       }
     }
   }
-  return base + static_cast<usize>(par_mult * mrec_bytes);
+  // Saturating add: an overflowing carve stays "too big to admit".
+  const usize par = saturating_bytes(par_mult * mrec_bytes);
+  return base + std::min(par, std::numeric_limits<usize>::max() - base);
 }
 
 bool SortService::queue_before(const Job& a, const Job& b) const {
@@ -195,6 +203,7 @@ JobId SortService::submit_impl(SortJobSpec spec, u64 n, usize record_bytes,
                                std::function<void(JobExec&)> run) {
   PDM_CHECK(spec.mem_records > 0, "SortJobSpec.mem_records must be > 0");
   PDM_CHECK(n > 0, "cannot submit an empty sort job");
+  check_alpha(spec.alpha);
   auto job = std::make_shared<Job>();
   job->spec = std::move(spec);
   job->n = n;
@@ -254,8 +263,7 @@ JobId SortService::submit_impl(SortJobSpec spec, u64 n, usize record_bytes,
     for (const Job* p : pending_) {
       if (queue_before(*p, *job)) backlog += p->est_run_s;
     }
-    const double cal =
-        cfg_.deadline_calibration && cal_ratio_ > 0 ? cal_ratio_ : 1.0;
+    const double cal = cal_ratio_ > 0 ? cal_ratio_ : 1.0;
     const double wait = cal * backlog / static_cast<double>(cfg_.workers);
     const double run = cal * job->est_run_s;
     if (wait + run > job->spec.deadline_s) {
@@ -555,7 +563,7 @@ SortService::Claim SortService::try_claim_locked() {
     claim.carve = head->carve_bytes;
     if (head->batchable) {
       for (usize k = i + 1;
-           k < pending_.size() && claim.members.size() < cfg_.batch_max;
+           k < pending_.size() && claim.members.size() < kBatchMax;
            ++k) {
         Job* other = pending_[k];
         if (other->batchable && other->type_key == head->type_key) {
@@ -720,8 +728,6 @@ void SortService::run_claim(Claim& claim, usize depth, usize cpu) {
   try {
     PdmContext ctx(backend_, alloc_, claim.carve, cfg_.cost,
                    cfg_.seed + claim.members.front()->id, &io_totals_);
-    ctx.set_extent_blocks(cfg_.extent_blocks);
-    ctx.io().set_coalescing(cfg_.coalesce_io);
     if (depth >= 2) ctx.set_async_depth(depth);
     if (cpu >= 2) ctx.set_cpu_budget(cpu);
     {
@@ -849,7 +855,7 @@ void SortService::run_one(Job& job, PdmContext& ctx) {
     job.deadline_missed =
         job.spec.deadline_s > 0 &&
         seconds(job.t_end - job.t_submit) > job.spec.deadline_s;
-    if (cfg_.deadline_calibration && job.est_run_s > 0) {
+    if (job.est_run_s > 0) {
       // Observed wall seconds per modeled second, smoothed: the factor
       // future deadline-admission estimates are scaled by.
       const double run_s = seconds(job.t_end - job.t_start);

@@ -72,40 +72,9 @@ struct ServiceConfig {
   /// the bit-identical legacy serial path.
   usize cpu_threads_total = 1;
 
-  /// Default carve = mem_slack * mem_records * sizeof(record): the
-  /// documented per-algorithm working-set slack (~2.5M) plus the async
-  /// pipeline's extra load buffer and write-behind slabs, rounded up.
-  /// This is the conservative bound used when the job's shape has no
-  /// cached plan yet; see plan_aware_admission.
-  double mem_slack = 6.0;
-
-  /// Plan-cache-aware admission: when a submitted shape's PlanEntry is
-  /// already cached, the carve uses that algorithm's calibrated
-  /// working-set model (InternalSort ~3.25M + 2·D·B, the LMM family
-  /// ~5.5M + 8·D·B, both including the pipeline's second load buffer
-  /// and write-behind slabs — see algo_admission_slack in the .cpp for
-  /// the measured minima) instead of the uniform mem_slack — admitting
-  /// more jobs at the same safety margin. The per-algorithm carve is
-  /// never raised above mem_slack's, so tightening the global knob
-  /// still caps every admission. Uncached shapes (and explicit
-  /// SortJobSpec::carve_bytes) are unaffected.
-  bool plan_aware_admission = true;
-
-  /// Blocks per allocation extent for job contexts (the per-syscall
-  /// coalescing ceiling); <= 1 reverts to single-block bump allocation,
-  /// interleaving concurrent jobs block-by-block (the bench baseline).
-  usize extent_blocks = 32;
-
-  /// Extent coalescing in job schedulers (see IoScheduler); off restores
-  /// the block-at-a-time backend path with identical ops/blocks/hashes.
-  bool coalesce_io = true;
-
-  /// Jobs with n <= this coalesce with same-record-type jobs into one
-  /// worker task (0 disables batching).
+  /// Jobs with n <= this coalesce with same-record-type jobs (at most
+  /// SortService::kBatchMax) into one worker task (0 disables batching).
   u64 small_job_records = 0;
-
-  /// Max jobs coalesced into one batch.
-  usize batch_max = 8;
 
   /// Identifies this service within a cluster (stamped into JobInfo and
   /// ServiceStats; shard 0 = standalone).
@@ -115,16 +84,12 @@ struct ServiceConfig {
   /// rejected if (estimated queue wait + planned pass count * parallel-op
   /// cost under `cost`) already exceeds its deadline. Off by default —
   /// the estimate is model time, which only tracks wall clock when the
-  /// backend is configured to simulate the same CostModel.
+  /// backend is configured to simulate the same CostModel. Both terms are
+  /// calibrated against observed wall clock: an EMA of (actual run
+  /// seconds / model-predicted seconds) over completed jobs scales them,
+  /// so the check stays honest on real disks where CostModel time and
+  /// wall time diverge (ServiceStats::deadline_cal exposes the ratio).
   bool deadline_admission = false;
-
-  /// Calibrate the deadline-admission estimate against observed wall
-  /// clock: an EMA of (actual run seconds / model-predicted seconds)
-  /// over completed jobs scales both the backlog and the run term, so
-  /// the check stays honest on real disks where CostModel time and wall
-  /// time diverge (ServiceStats::deadline_cal exposes the ratio). Only
-  /// consulted when deadline_admission is on.
-  bool deadline_calibration = true;
 
   /// Retention policy for terminal job records: keep at most this many
   /// (0 = unbounded) ...
@@ -141,6 +106,21 @@ struct ServiceConfig {
 
 class SortService {
  public:
+  /// Uniform carve = kMemSlack * mem_records * sizeof(record): the
+  /// documented per-algorithm working-set slack (~2.5M) plus the async
+  /// pipeline's extra load buffer and write-behind slabs, rounded up.
+  /// This is the conservative bound used while the job's shape has no
+  /// cached plan; once it has one, the carve uses that algorithm's
+  /// calibrated working-set model (InternalSort ~3.25M + 2·D·B, the LMM
+  /// family ~5.5M + 8·D·B, both including the pipeline's second load
+  /// buffer and write-behind slabs — see algo_admission_slack in the .cpp
+  /// for the measured minima), never above the uniform bound. Explicit
+  /// SortJobSpec::carve_bytes overrides both.
+  static constexpr double kMemSlack = 6.0;
+
+  /// Max small jobs coalesced into one batch.
+  static constexpr usize kBatchMax = 8;
+
   /// Co-owns `backend`; the service's allocator and I/O totals are sized
   /// to its geometry. Workers start immediately.
   explicit SortService(std::shared_ptr<DiskBackend> backend,
@@ -293,10 +273,10 @@ class SortService {
   /// The memory carve this service would require of `spec` at admission:
   /// spec.carve_bytes, or slack * mem_records * record_bytes — where the
   /// slack is the per-algorithm constant when `n` is non-zero and the
-  /// shape's plan is cached (plan_aware_admission), else the conservative
-  /// mem_slack. A carve above budget().limit() means the job would be
-  /// rejected — the cluster router spills such jobs to a shard where
-  /// they fit.
+  /// shape's plan is cached, else the conservative kMemSlack. A carve
+  /// that overflows saturates at the largest usize. A carve above
+  /// budget().limit() means the job would be rejected — the cluster
+  /// router spills such jobs to a shard where they fit.
   usize admission_carve(const SortJobSpec& spec, usize record_bytes,
                         u64 n = 0) const;
 
@@ -308,7 +288,7 @@ class SortService {
   double estimate_run_s(const SortJobSpec& spec, usize record_bytes, u64 n);
 
   /// EMA of observed wall seconds per modeled second over completed jobs
-  /// (see ServiceConfig::deadline_calibration); 0 until the first sample.
+  /// (see ServiceConfig::deadline_admission); 0 until the first sample.
   double deadline_cal() const;
 
   /// The service-wide budget (reservations; peak = admission pressure).

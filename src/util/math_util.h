@@ -3,6 +3,7 @@
 
 #include <bit>
 #include <cmath>
+#include <string>
 
 #include "util/common.h"
 
@@ -39,9 +40,18 @@ constexpr u64 isqrt(u64 x) {
   return r;
 }
 
+/// Throws pdm::Error unless the w.h.p. exponent alpha is finite and > 0.
+/// A NaN alpha would reach every capacity bound (and u64 casts of NaN are
+/// undefined) and break the strict weak ordering of plan-cache keys.
+inline void check_alpha(double alpha) {
+  PDM_CHECK(std::isfinite(alpha) && alpha > 0,
+            "alpha must be finite and > 0, got " + std::to_string(alpha));
+}
+
 /// The paper's log factor lambda(M, alpha) = sqrt((alpha+2) ln M + 2).
 /// Used by every "expected" capacity bound (Theorems 5.1, 6.1, 6.3).
 inline double lambda_factor(u64 m, double alpha) {
+  check_alpha(alpha);
   return std::sqrt((alpha + 2.0) * std::log(static_cast<double>(m)) + 2.0);
 }
 

@@ -218,12 +218,15 @@ TEST(ClusterScenarios, RingRemapsOnlyOneNthOfKeysPerTransition)
 TEST(ClusterScenarios, StickyPinsSurviveTopologyChangesCoherently)
 {
   ShardRouter router(4, RoutePolicy::kLocalityHash);
-  router.set_spill_promote_after(2);
   std::vector<ShardLoad> loads(8);
   SortJobSpec spec;
   spec.locality_key = "pinned-tenant";
-  // Two consecutive spills to shard 2 pin the key there.
+  // kSpillPromoteAfter = 3 consecutive spills to shard 2 pin the key
+  // there; two do not.
+  static_assert(ShardRouter::kSpillPromoteAfter == 3);
   router.note_spill(spec.locality_key, 2);
+  router.note_spill(spec.locality_key, 2);
+  EXPECT_FALSE(router.pinned_shard(spec.locality_key).has_value());
   router.note_spill(spec.locality_key, 2);
   ASSERT_TRUE(router.pinned_shard(spec.locality_key).has_value());
   EXPECT_EQ(*router.pinned_shard(spec.locality_key), 2u);
@@ -360,6 +363,12 @@ TEST(ClusterScenarios, DrainShardMigratesQueuedJobsUnderLoad)
                                  datasets[static_cast<usize>(j)],
                                  runs.back(), bad));
     EXPECT_EQ(cluster.shard_of(ids.back()), 1u);
+  }
+  // Let shard 1's worker start the head job, so the drain below always
+  // has a running job to finish in place (under CPU load the drain could
+  // otherwise extract the whole queue before the worker woke).
+  while (cluster.shard(1).load().running == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // A waiter blocked on a queued job must follow it through migration.
   std::thread waiter([&] {

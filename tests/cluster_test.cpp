@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -260,12 +261,41 @@ TEST(Cluster, PassCountsUnchangedByShardCount)
   }
 }
 
+// Cluster admission rejects a NaN alpha before placement reads the shard
+// plan caches: one tenant's NaN job must not change another tenant's plan
+// (see SortService.NonFiniteAlphaIsRejectedAndLeavesPlansAlone for the
+// shape: alpha = 1 plans ThreePass2(LMM) there).
+TEST(Cluster, NonFiniteAlphaIsRejectedBeforePlacement)
+{
+  constexpr u64 kM = 4096;
+  ClusterConfig cfg;
+  cfg.shards = 1;
+  cfg.shard.workers = 1;
+  Cluster cluster(memory_backend_factory(4, 64 * sizeof(u64)), cfg);
+  Rng rng(33);
+  SortJobSpec spec = spec_of("alpha", "tenant-a");
+  spec.mem_records = kM;
+  spec.alpha = std::nan("");
+  EXPECT_THROW(
+      cluster.submit<u64>(spec, make_keys(16 * kM, Dist::kUniform, rng)),
+      Error);
+  spec.locality_key = "tenant-b";
+  spec.alpha = 1.0;
+  const JobInfo info = cluster.wait(
+      cluster.submit<u64>(spec, make_keys(16 * kM, Dist::kPermutation, rng)));
+  ASSERT_EQ(info.state, JobState::kDone) << info.error;
+  EXPECT_EQ(info.algorithm, "ThreePass2(LMM)");
+  spec.alpha = -1.0;
+  EXPECT_THROW(cluster.submit_distributed<u64>(
+                   spec, make_keys(2 * kM, Dist::kUniform, rng)),
+               Error);
+}
+
 TEST(Cluster, StickySpillBackPinsRepeatedlySpillingTenant)
 {
   ClusterConfig cfg;
   cfg.shards = 2;
   cfg.policy = RoutePolicy::kLocalityHash;
-  cfg.spill_promote_after = 2;
   cfg.shard_configs.resize(2, cfg.shard);
   cfg.shard_configs[0].workers = 1;
   cfg.shard_configs[0].total_memory_bytes = usize{1} << 20;  // starved
@@ -292,11 +322,12 @@ TEST(Cluster, StickySpillBackPinsRepeatedlySpillingTenant)
     EXPECT_EQ(cluster.shard_of(id), 1u);
     EXPECT_EQ(cluster.wait(id).state, JobState::kDone);
   }
-  // The first spill_promote_after submissions spill (full rescans); after
-  // promotion the key is pinned to shard 1 and placements stop counting
-  // as spills.
+  // The first kSpillPromoteAfter = 3 submissions spill (full rescans);
+  // after promotion the key is pinned to shard 1 and placements stop
+  // counting as spills.
   const ClusterStats st = cluster.stats();
-  EXPECT_EQ(st.spilled, 2u);
+  static_assert(ShardRouter::kSpillPromoteAfter == 3);
+  EXPECT_EQ(st.spilled, 3u);
   ASSERT_TRUE(cluster.router().pinned_shard(key).has_value());
   EXPECT_EQ(*cluster.router().pinned_shard(key), 1u);
   // An unrelated tenant whose (small) jobs fit its preferred shard 0 is

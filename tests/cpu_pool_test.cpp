@@ -382,9 +382,10 @@ TEST(CpuBudgetInvariance, OrderAdaptive)
       {{0x79d29bc41a32536f, 595, 70, 3074, 2050, 1314, 2050, 0x5d46900003c676a9},
        {0x79d29bc41a32536f, 595, 70, 3074, 2050, 1314, 2050, 0x74abf56219d2e5c9}},
       [](PdmContext& ctx, const StripedRun<u64>& in) {
-    OrderAdaptiveOptions opt;
+    MultiwaySortOptions opt;
     opt.mem_records = kBigMem;
-    return order_adaptive_sort<u64>(ctx, in, opt).output.read_all();
+    opt.mode = RunFormationMode::kReplacementSelection;
+    return multiway_merge_sort<u64>(ctx, in, opt).output.read_all();
   });
 }
 

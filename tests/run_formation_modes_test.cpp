@@ -114,10 +114,10 @@ TEST_P(AdaptiveRunFormation, SortMatchesStdSort) {
   Rng rng(7);
   auto data = make_keys(2048, dist, rng);
   auto in = test::stage_input<u64>(*ctx, data);
-  OrderAdaptiveOptions o;
+  MultiwaySortOptions o;
   o.mem_records = g.mem;
   o.mode = mode;
-  auto res = order_adaptive_sort<u64>(*ctx, in, o);
+  auto res = multiway_merge_sort<u64>(*ctx, in, o);
   test::expect_sorted_output<u64>(res.output, data);
   EXPECT_EQ(res.report.algorithm, "OrderAdaptive");
   if (dist == Dist::kSorted || dist == Dist::kNearSortedDisplaced) {

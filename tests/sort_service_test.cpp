@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -69,7 +71,7 @@ TEST(SortService, PlanAwareAdmissionTightensCachedShapes)
   const u64 n_big = 16 * kMem;    // LMM-family shape
   const usize uniform = svc.admission_carve(spec, sizeof(u64), n_small);
   EXPECT_EQ(uniform,
-            static_cast<usize>(svc.config().mem_slack * kMem * sizeof(u64)))
+            static_cast<usize>(SortService::kMemSlack * kMem * sizeof(u64)))
       << "uncached shapes must use the conservative uniform slack";
 
   // Run one job of each shape so their PlanEntries land in the cache.
@@ -105,6 +107,53 @@ TEST(SortService, PlanAwareAdmissionTightensCachedShapes)
   svc.drain();
   EXPECT_EQ(ok.load(), 4);
   EXPECT_EQ(bad.load(), 0);
+}
+
+// At M = 4096, B = 64 and N = 16·M, alpha = 1 caps ExpectedTwoPass at
+// ~50k records < N, so the planner picks ThreePass2(LMM). A NaN alpha made
+// that capacity NaN (its u64 cast is undefined; x86 reads 2^63) and, as a
+// plan-cache key, compared equivalent to every alpha: after one NaN job a
+// same-shape alpha = 1 job of another tenant was planned ExpectedTwoPass.
+TEST(SortService, NonFiniteAlphaIsRejectedAndLeavesPlansAlone)
+{
+  constexpr u64 kM = 4096;
+  SortService svc(std::make_shared<MemoryDiskBackend>(4, 64 * sizeof(u64)),
+                  ServiceConfig{.workers = 1});
+  Rng rng(31);
+  SortJobSpec spec = spec_of("alpha");
+  spec.mem_records = kM;
+  spec.alpha = std::nan("");
+  EXPECT_THROW(svc.submit<u64>(spec, make_keys(16 * kM, Dist::kUniform, rng)),
+               Error);
+  spec.alpha = 1.0;
+  const JobInfo info = svc.wait(
+      svc.submit<u64>(spec, make_keys(16 * kM, Dist::kPermutation, rng)));
+  ASSERT_EQ(info.state, JobState::kDone) << info.error;
+  EXPECT_EQ(info.algorithm, "ThreePass2(LMM)");
+  for (double bad : {std::numeric_limits<double>::infinity(), 0.0, -1.0}) {
+    spec.alpha = bad;
+    EXPECT_THROW(svc.submit<u64>(spec, make_keys(kM, Dist::kUniform, rng)),
+                 Error)
+        << "alpha " << bad;
+  }
+  EXPECT_THROW(lambda_factor(kM, std::nan("")), Error);
+}
+
+// mem_records = 2^62 makes kMemSlack * M * record_bytes overflow usize.
+// The carve saturates, so the job is rejected at admission; an unchecked
+// cast read 0 and admitted a job that then failed on a worker.
+TEST(SortService, OverflowingCarveIsRejectedAtAdmission)
+{
+  SortService svc(make_backend(), ServiceConfig{.workers = 1});
+  SortJobSpec spec = spec_of("huge");
+  spec.mem_records = u64{1} << 62;
+  EXPECT_EQ(svc.admission_carve(spec, sizeof(u64)),
+            std::numeric_limits<usize>::max());
+  Rng rng(32);
+  const JobInfo info =
+      svc.wait(svc.submit<u64>(spec, make_keys(1024, Dist::kUniform, rng)));
+  EXPECT_EQ(info.state, JobState::kRejected);
+  EXPECT_NE(info.error.find("admission control"), std::string::npos);
 }
 
 TEST(SortService, BasicJobsCompleteSorted)
@@ -152,7 +201,7 @@ TEST(SortService, AdmissionBlocksUntilMemoryFrees)
   cfg.workers = 2;
   // Room for exactly one default carve at a time.
   cfg.total_memory_bytes =
-      static_cast<usize>(cfg.mem_slack * kMem * sizeof(u64)) + 1024;
+      static_cast<usize>(SortService::kMemSlack * kMem * sizeof(u64)) + 1024;
   SortService svc(make_backend(), cfg);
   Rng rng(3);
   std::atomic<int> ok{0}, bad{0};
@@ -238,7 +287,6 @@ TEST(SortService, BatchingCoalescesSmallJobs)
   ServiceConfig cfg;
   cfg.workers = 1;
   cfg.small_job_records = kMem;  // n <= M: internal-sort sized
-  cfg.batch_max = 4;
   SortService svc(make_backend(100), cfg);
   Rng rng(6);
   std::atomic<int> ok{0}, bad{0};
@@ -247,7 +295,7 @@ TEST(SortService, BatchingCoalescesSmallJobs)
       svc, spec_of("blocker"), make_keys(8 * kMem, Dist::kPermutation, rng),
       ok, bad);
   std::vector<JobId> smalls;
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < 10; ++i) {
     smalls.push_back(submit_verified(
         svc, spec_of("small" + std::to_string(i)),
         make_keys(kMem / 2, Dist::kUniform, rng), ok, bad));
@@ -255,15 +303,18 @@ TEST(SortService, BatchingCoalescesSmallJobs)
   svc.drain();
   EXPECT_EQ(svc.wait(blocker).state, JobState::kDone);
   for (JobId id : smalls) EXPECT_EQ(svc.wait(id).state, JobState::kDone);
-  EXPECT_EQ(ok.load(), 7);
+  EXPECT_EQ(ok.load(), 11);
   EXPECT_EQ(bad.load(), 0);
   const ServiceStats st = svc.stats();
-  // 6 small jobs coalesced into at most ceil(6/4)+1 extra claims; without
-  // batching this would be 7 worker tasks.
-  EXPECT_LT(st.batches_run, 7u);
+  // 10 small jobs coalesce into few claims — without batching this would
+  // be 11 worker tasks — but no claim takes more than kBatchMax = 8 of
+  // them, so the blocker plus at least two claims ran.
+  static_assert(SortService::kBatchMax == 8);
+  EXPECT_LT(st.batches_run, 11u);
+  EXPECT_GE(st.batches_run, 3u);
   // One planner invocation per distinct shape, not per job.
   EXPECT_LE(st.plan_cache_misses, 2u);
-  EXPECT_GE(st.plan_cache_hits, 5u);
+  EXPECT_GE(st.plan_cache_hits, 9u);
 }
 
 TEST(SortService, ConcurrentPassCountsMatchSingleJobBaseline)
@@ -359,7 +410,7 @@ TEST(SortService, StressMixedWorkloadAccountingInvariant)
   for (const JobInfo& j : job_infos) {
     if (j.state != JobState::kDone) continue;
     EXPECT_LE(j.report.peak_memory_bytes,
-              static_cast<usize>(cfg.mem_slack * kMem * sizeof(KV64)))
+              static_cast<usize>(SortService::kMemSlack * kMem * sizeof(KV64)))
         << j.name;
   }
 
