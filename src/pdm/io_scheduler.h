@@ -18,11 +18,8 @@
 // IoStats keeps both books exact: read_ops/write_ops and per-disk block
 // counts from the raw batch (pass counts, schedule hash), read_calls/
 // write_calls and per-disk call counts from the coalesced batch
-// (coalesced_ratio = blocks per syscall). Coalescing is the only way a
-// batch executes: the block-at-a-time path it replaced moved the same
-// blocks in the same parallel ops (tests/extent_io_test.cpp pins a sort's
-// ops, blocks and calls), and its measured cost stays on record in
-// BENCH_PR4.json / BENCH_PR6.json.
+// (coalesced_ratio = blocks per syscall). Every batch executes coalesced;
+// tests/extent_io_test.cpp pins a sort's ops, blocks and calls.
 //
 // Accounting and execution are split so that the asynchronous pipeline
 // (async_io.h) can charge a batch at submission time — in submission

@@ -14,10 +14,9 @@
 //    the same block. An optional SharedIoTotals mirrors every accounting
 //    charge into a service-wide aggregate.
 //
-// Either way the context opens its own allocator region, and its runs
-// allocate extents of up to kExtentBlocks blocks inside it; its scheduler
-// always coalesces. Neither is configurable: the block-at-a-time layout
-// and execution they replaced are gone (see IoScheduler).
+// Either way the context opens its own allocator region, its runs
+// allocate extents of up to kExtentBlocks blocks inside it, and its
+// scheduler coalesces every batch (see IoScheduler).
 #pragma once
 
 #include <atomic>
