@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
   // identical; only the wall clock may move.
   const u64 latency_us = cli.get_u64("latency_us", 200);
   const usize async_depth = static_cast<usize>(cli.get_u64("async_depth", 4));
-  const std::string json_out = cli.get("json_out", "BENCH_PR13.json");
+  const std::string json_out = cli.get("json_out", "BENCH_PR14.json");
   std::cout << "\n-- async pipeline overlap (memory backend, simulated "
             << latency_us << "us/op latency, depth " << async_depth
             << ") --\n";

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   const u64 latency_us = cli.get_u64("latency_us", 200);
   const u64 num_jobs = cli.get_u64("jobs", 8);
   const double gate = cli.get_double("gate", 1.3);
-  const std::string json_out = cli.get("json_out", "BENCH_PR13.json");
+  const std::string json_out = cli.get("json_out", "BENCH_PR14.json");
   // --trace_out=FILE / --metrics=1: phase-tracer dump and metrics
   // registry exposition (shared serving-bench flags, bench_support.h).
   const std::string trace_out = trace_begin(cli);

@@ -1,6 +1,7 @@
-// E16 — cluster routing: jobs/sec and shard imbalance vs shard count and
-// placement policy, on a FIXED aggregate hardware budget (total disks,
-// workers, memory and async depth are divided among the shards).
+// E16 — cluster routing: jobs/sec and shard imbalance vs shard count, on
+// a FIXED aggregate hardware budget (total disks, workers, memory and
+// async depth are divided among the shards), under the cluster's one
+// dispatch path and placement rule (see cluster.h).
 //
 // The backend runs the locality-aware occupancy model (StreamModel): each
 // disk serves a handful of sequential streams cheaply and charges a seek
@@ -12,18 +13,16 @@
 // throughout (the paper's bounds are per-array properties — asserted
 // against the one-shard baseline per job).
 //
-// Gates (PR acceptance): at 4 shards under least_loaded, jobs/sec must
-// be at least `--gate` (default 1.5) times the 1-shard arm; and the
+// Gates (PR acceptance): at 4 shards, jobs/sec must be at least `--gate`
+// (default 1.5) times the 1-shard arm; and the
 // elasticity arm — a live 2→4 scale-out mid-workload (add_shard while
 // jobs are parked in the cluster hold queue; the newcomers steal the
 // backlog) — must complete every job and reach `--elastic_gate`
 // (default 1.2) times the static 2-shard baseline's jobs/sec, with
 // per-job pass counts still pinned to the 1-shard baseline. --gate=0 /
-// --elastic_gate=0 disable. The static policy arms run with the hold
-// queue off so they measure the routing policies in isolation; the
-// elastic arm runs the full hold-queue + stealing machinery. An
-// optional arm repeats 1-vs-4 shards over FileDiskBackend (real fds +
-// page cache, no simulated latency; reported, not gated).
+// --elastic_gate=0 disable. An optional arm repeats 1-vs-4 shards over
+// FileDiskBackend (real fds + page cache, no simulated latency;
+// reported, not gated).
 #include <filesystem>
 #include <memory>
 
@@ -39,7 +38,6 @@ namespace {
 
 struct ArmResult {
   usize shards = 0;
-  std::string policy;
   double makespan_s = 0;
   double jobs_per_sec = 0;
   double speedup = 0;
@@ -55,8 +53,8 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   banner("E16 / cluster routing",
          "Sharded multi-context serving on a fixed aggregate hardware "
-         "budget: jobs/sec and imbalance vs shard count and routing "
-         "policy, per-job pass counts pinned to the 1-shard baseline.");
+         "budget: jobs/sec and imbalance vs shard count, per-job pass "
+         "counts pinned to the 1-shard baseline.");
 
   const u64 mem = cli.get_u64("m", 16384);
   const u64 rpb = isqrt(mem);
@@ -68,7 +66,7 @@ int main(int argc, char** argv) {
   const double gate = cli.get_double("gate", 1.5);
   const double elastic_gate = cli.get_double("elastic_gate", 1.2);
   const bool file_arm = cli.get_u64("file_arm", 1) != 0;
-  const std::string json_out = cli.get("json_out", "BENCH_PR13.json");
+  const std::string json_out = cli.get("json_out", "BENCH_PR14.json");
   // --trace_out=FILE / --metrics=1: phase-tracer dump and metrics
   // registry exposition (shared serving-bench flags, bench_support.h).
   const std::string trace_out = trace_begin(cli);
@@ -85,7 +83,7 @@ int main(int argc, char** argv) {
   // mixed-size tenants interleaving on one big array cycle more distant
   // regions than the stream cache holds and pay seek_us. Sizes are
   // multiples of rpb * disks_total so pass counts round identically at
-  // every shard count.
+  // every shard count. Tenant keys only feed the per-tenant metrics.
   Rng rng(7);
   std::vector<std::vector<u64>> datasets;
   std::vector<std::string> keys;
@@ -103,20 +101,17 @@ int main(int argc, char** argv) {
             << stream.seek_us << "us, window " << stream.window_blocks
             << " blocks\n\n";
 
-  auto run_arm = [&](usize shards, RoutePolicy policy,
-                     std::vector<double>* passes_out,
+  auto run_arm = [&](usize shards, std::vector<double>* passes_out,
                      const std::vector<double>* passes_base) {
     PDM_CHECK(disks_total % shards == 0 && workers_total % shards == 0,
               "shard count must divide the aggregate budget");
     std::vector<std::shared_ptr<MemoryDiskBackend>> backends;
     ClusterConfig cfg;
     cfg.shards = shards;
-    cfg.policy = policy;
     cfg.shard.workers = workers_total / shards;
     cfg.shard.io_depth_total = 8 / shards;
     cfg.shard.total_memory_bytes = (usize{256} << 20) / shards;
     cfg.shard.seed = 42;
-    cfg.hold_queue = false;  // measure the routing policy in isolation
     Cluster cluster(
         [&](u32) -> std::shared_ptr<DiskBackend> {
           auto b = std::make_shared<MemoryDiskBackend>(
@@ -150,7 +145,6 @@ int main(int argc, char** argv) {
     ArmResult r;
     r.makespan_s = timer.seconds();
     r.shards = shards;
-    r.policy = shards == 1 ? "single" : route_policy_name(policy);
     r.jobs_per_sec = static_cast<double>(num_jobs) / r.makespan_s;
 
     const ClusterStats st = cluster.stats();
@@ -177,12 +171,11 @@ int main(int argc, char** argv) {
     return r;
   };
 
-  Table t({"shards", "policy", "makespan_s", "jobs_per_sec", "speedup",
-           "job_imbal", "io_imbal", "stream_hits", "passes_equal"});
+  Table t({"shards", "makespan_s", "jobs_per_sec", "speedup", "job_imbal",
+           "io_imbal", "stream_hits", "passes_equal"});
   auto add_row = [&](const ArmResult& r) {
     t.row()
         .cell(u64{r.shards})
-        .cell(r.policy)
         .cell(r.makespan_s, 3)
         .cell(r.jobs_per_sec, 1)
         .cell(r.speedup, 2)
@@ -193,8 +186,7 @@ int main(int argc, char** argv) {
   };
 
   std::vector<double> base_passes;
-  ArmResult base = run_arm(1, RoutePolicy::kLeastLoaded, &base_passes,
-                           nullptr);
+  ArmResult base = run_arm(1, &base_passes, nullptr);
   base.speedup = 1.0;
   add_row(base);
 
@@ -211,7 +203,6 @@ int main(int argc, char** argv) {
   auto add_json = [&](const ArmResult& r) {
     jw.begin_obj();
     jw.key("shards").value(u64{r.shards});
-    jw.key("policy").value(r.policy);
     jw.key("makespan_s").value(r.makespan_s);
     jw.key("jobs_per_sec").value(r.jobs_per_sec);
     jw.key("speedup_vs_one_shard").value(r.speedup);
@@ -225,33 +216,25 @@ int main(int argc, char** argv) {
 
   double gate_speedup = 0;
   for (const usize shards : {usize{2}, usize{4}}) {
-    for (const RoutePolicy policy :
-         {RoutePolicy::kRoundRobin, RoutePolicy::kLeastLoaded,
-          RoutePolicy::kLocalityHash}) {
-      ArmResult r = run_arm(shards, policy, nullptr, &base_passes);
-      r.speedup = base.makespan_s / std::max(1e-9, r.makespan_s);
-      if (shards == 4 && policy == RoutePolicy::kLeastLoaded) {
-        gate_speedup = r.speedup;
-      }
-      PDM_CHECK(r.passes_equal,
-                "E16: sharding changed a job's pass count");
-      add_row(r);
-      add_json(r);
-    }
+    ArmResult r = run_arm(shards, nullptr, &base_passes);
+    r.speedup = base.makespan_s / std::max(1e-9, r.makespan_s);
+    if (shards == 4) gate_speedup = r.speedup;
+    PDM_CHECK(r.passes_equal, "E16: sharding changed a job's pass count");
+    add_row(r);
+    add_json(r);
   }
   jw.end_arr();
 
   // Elasticity arm: the same workload against (a) a static 2-shard
   // cluster and (b) a cluster that starts at 2 shards and live-scales to
   // 4 after a third of the submissions — per-shard hardware identical to
-  // the 4-shard arms, hold queue ON. The backlog parks in the cluster
-  // hold queue; the two newcomers join the consistent-hash ring and
-  // steal it. Gate: every job completes, and the scale-out beats the
+  // the 4-shard arms. The backlog parks in the cluster hold queue; the
+  // two newcomers join the active set and take it. Gate: every job
+  // completes, and the scale-out beats the
   // static 2-shard baseline's jobs/sec by >= --elastic_gate.
   auto run_elastic = [&](bool grow) {
     ClusterConfig cfg;
     cfg.shards = 2;
-    cfg.policy = RoutePolicy::kLeastLoaded;
     cfg.shard.workers = std::max<usize>(1, workers_total / 4);
     cfg.shard.io_depth_total = 2;
     cfg.shard.total_memory_bytes = (usize{256} << 20) / 4;
@@ -293,7 +276,7 @@ int main(int argc, char** argv) {
   const auto [elastic_s, elastic_st] = run_elastic(true);
   const double elastic_speedup = static2_s / std::max(1e-9, elastic_s);
   std::cout << "\nElasticity arm (2 -> 4 live scale-out at 1/3 of "
-            << "submissions, hold queue + stealing on):\n";
+            << "submissions):\n";
   Table et({"arm", "makespan_s", "jobs_per_sec", "speedup", "held",
             "stolen"});
   et.row()
@@ -336,7 +319,6 @@ int main(int argc, char** argv) {
     for (const usize shards : {usize{1}, usize{4}}) {
       ClusterConfig cfg;
       cfg.shards = shards;
-      cfg.policy = RoutePolicy::kLeastLoaded;
       cfg.shard.workers = workers_total / shards;
       cfg.shard.io_depth_total = 8 / shards;
       cfg.shard.total_memory_bytes = (usize{256} << 20) / shards;
@@ -392,7 +374,7 @@ int main(int argc, char** argv) {
     json_file_update(json_out, "e16_cluster_routing", jw.str());
     std::cout << "wrote section e16_cluster_routing -> " << json_out << "\n";
   }
-  std::cout << "routing gate (4 shards least_loaded vs 1 shard): "
+  std::cout << "routing gate (4 shards vs 1 shard): "
             << fmt_double(gate_speedup, 2) << "x, need >= " << gate
             << "x: "
             << (gate <= 0 || gate_speedup >= gate ? "PASS" : "FAIL") << "\n";

@@ -1,11 +1,10 @@
-// Cluster serving demo: a pdm::Cluster of SortService shards behind a
-// routing policy, fed a multi-tenant workload. Prints each shard's view
-// of the traffic, the routing quality (placement counts, spills,
-// imbalance), and the cluster totals with the exact-sum I/O invariant.
+// Cluster serving demo: a pdm::Cluster of SortService shards fed a
+// multi-tenant workload. Prints each shard's view of the traffic, the
+// placement figures (jobs per shard, parks, steals, imbalance), and the
+// cluster totals with the exact-sum I/O invariant.
 //
-//   ./example_cluster_serve                         # 4 shards, least_loaded
-//   ./example_cluster_serve --shards=2 --policy=locality_hash
-//   ./example_cluster_serve --tenants=12 --jobs=64 --seek_us=400
+//   ./example_cluster_serve                         # 4 shards
+//   ./example_cluster_serve --shards=2 --tenants=12 --jobs=64 --seek_us=400
 //   ./example_cluster_serve --trace-out=trace.json --metrics=1
 //   ./example_cluster_serve --introspect-every=1 --force-deadline-miss=1
 //
@@ -52,8 +51,6 @@ int main(int argc, char** argv) {
   const u64 tenants = cli.get_u64("tenants", 6);
   const u32 disks_total = static_cast<u32>(cli.get_u64("disks", 8));
   const usize workers_total = static_cast<usize>(cli.get_u64("workers", 4));
-  const RoutePolicy policy =
-      route_policy_from_name(cli.get("policy", "least_loaded"));
   const std::string trace_out = cli.get("trace-out", "");
   const bool print_metrics = cli.get_u64("metrics", 0) != 0;
   const u64 introspect_every = cli.get_u64("introspect-every", 0);
@@ -75,7 +72,6 @@ int main(int argc, char** argv) {
 
   ClusterConfig cfg;
   cfg.shards = shards;
-  cfg.policy = policy;
   cfg.shard.workers = workers_total / shards;
   cfg.shard.io_depth_total = 8 / std::min<usize>(shards, 8);
   cfg.shard.total_memory_bytes =
@@ -87,8 +83,7 @@ int main(int argc, char** argv) {
                              stream),
       cfg);
 
-  std::cout << "Cluster: " << shards << " shards ("
-            << route_policy_name(policy) << ") x " << cfg.shard.workers
+  std::cout << "Cluster: " << shards << " shards x " << cfg.shard.workers
             << " workers, D = " << disks_total / shards
             << " per shard, budget = "
             << (cfg.shard.total_memory_bytes >> 20) << " MiB per shard; "
@@ -195,9 +190,11 @@ int main(int argc, char** argv) {
     shard_blocks += ss.io.total_blocks();
   }
   std::cout << "cluster: " << st.completed << " done, " << st.failed
-            << " failed, " << st.rejected << " rejected (" << st.spilled
-            << " spilled, " << st.rejected_cluster_wide
-            << " cluster-wide); " << verified.load() << " verified\n"
+            << " failed, " << st.rejected << " rejected ("
+            << st.rejected_cluster_wide << " cluster-wide); "
+            << verified.load() << " verified\n"
+            << "placement: " << st.held_total << " parked, " << st.stolen
+            << " stolen\n"
             << "throughput: " << fmt_double(st.jobs_per_sec, 1)
             << " jobs/s; imbalance: jobs "
             << fmt_double(st.job_imbalance, 2) << "x, io "

@@ -75,7 +75,7 @@ std::vector<JobLine> default_workload(u64 mem) {
     }
   }
   // A burst of tiny same-type jobs at the tail: these queue up behind the
-  // big sorts and coalesce into batched worker tasks.
+  // big sorts and backfill workers as memory frees.
   for (int b = 0; b < 6; ++b) {
     jobs.push_back(JobLine{"u64-burst-" + std::to_string(b), "u64", mem / 4,
                            mem, 0, 0});
@@ -109,7 +109,6 @@ int main(int argc, char** argv) {
   cfg.io_depth_total = static_cast<usize>(cli.get_u64("io_depth", 8));
   cfg.total_memory_bytes =
       static_cast<usize>(cli.get_u64("service_mb", 256)) << 20;
-  cfg.small_job_records = cli.get_u64("small_job_records", mem);
   SortService svc(backend, cfg);
 
   std::cout << "SortService: " << cfg.workers << " workers, D = " << disks
@@ -153,7 +152,7 @@ int main(int argc, char** argv) {
   svc.drain();
 
   Table t({"job", "state", "algorithm", "n", "passes", "queue_ms", "run_ms",
-           "batched", "deadline_ok"});
+           "deadline_ok"});
   for (JobId id : ids) {
     const JobInfo j = svc.info(id);
     t.row()
@@ -165,7 +164,6 @@ int main(int argc, char** argv) {
                                          : std::string("-"))
         .cell(j.queue_s * 1e3, 1)
         .cell(j.run_s * 1e3, 1)
-        .cell(j.batched)
         .cell(!j.deadline_missed);
   }
   t.print(std::cout);

@@ -27,7 +27,6 @@ void note_hold_depth(usize depth) {
 Cluster::Cluster(BackendFactory make_backend, ClusterConfig cfg)
     : make_backend_(std::move(make_backend)),
       cfg_(cfg),
-      router_(cfg.shards, cfg.policy),
       jobs_per_shard_(cfg.shards, 0) {
   // Mirror span durations into the metrics registry so metrics_text()
   // shows per-phase totals next to the trace (idempotent).
@@ -41,7 +40,8 @@ Cluster::Cluster(BackendFactory make_backend, ClusterConfig cfg)
     ServiceConfig sc =
         cfg.shard_configs.empty() ? cfg.shard : cfg.shard_configs[i];
     slots_.push_back(Slot{make_service(static_cast<u32>(i), std::move(sc)),
-                          SlotState::kActive, 0});
+                          SlotState::kActive});
+    active_.push_back(static_cast<u32>(i));
   }
 }
 
@@ -79,75 +79,8 @@ std::shared_ptr<SortService> Cluster::make_service(u32 id, ServiceConfig sc) {
   return svc;
 }
 
-std::vector<ShardLoad> Cluster::shard_loads() const {
-  // Copy the live service handles under the lock, poll loads outside it
-  // (each load() briefly takes its shard's mutex).
-  std::vector<std::shared_ptr<SortService>> svcs;
-  {
-    std::lock_guard g(mu_);
-    svcs.reserve(slots_.size());
-    for (const Slot& s : slots_) {
-      svcs.push_back(s.state == SlotState::kActive ? s.service : nullptr);
-    }
-  }
-  std::vector<ShardLoad> loads(svcs.size());
-  for (usize i = 0; i < svcs.size(); ++i) {
-    if (svcs[i]) {
-      loads[i] = svcs[i]->load();
-    } else {
-      loads[i].shard = static_cast<u32>(i);  // retired placeholder
-    }
-  }
-  return loads;
-}
-
-Cluster::PlaceResult Cluster::place_locked(const SortJobSpec& spec,
-                                           usize record_bytes, u64 n,
-                                           std::span<const ShardLoad> loads) {
-  const bool was_pinned = router_.pinned_shard(spec.locality_key).has_value();
-  // A hard pin (distributed range jobs) must land on its target or
-  // nowhere: no spill scan, no sticky-spill bookkeeping.
-  const bool hard_pinned = spec.target_shard != SortJobSpec::kAnyShard &&
-                           router_.is_active(spec.target_shard);
-  const u32 preferred = router_.place(spec, loads);
-  usize carve = 0;  // of the last shard probed = the one returned
-  auto fits_ever = [&](u32 i) {
-    if (slots_[i].state != SlotState::kActive) return false;
-    carve = slots_[i].service->admission_carve(spec, record_bytes, n);
-    return carve <= slots_[i].service->budget().limit();
-  };
-  if (fits_ever(preferred)) {
-    // A fit on the tenant's *policy-preferred* shard ends any spill
-    // streak; a fit on its pinned spill target keeps the pin sticky.
-    if (!was_pinned && !hard_pinned) {
-      router_.note_preferred_ok(spec.locality_key);
-    }
-    return {preferred, true, carve};
-  }
-  if (hard_pinned) {
-    // The pinned shard can never admit it and nothing else is allowed
-    // to: reject cluster-wide (the shard writes the rejection record).
-    ++rejected_cluster_wide_;
-    return {preferred, false, 0};
-  }
-  // Overflow spill: the preferred shard would reject this job outright
-  // (its carve exceeds the whole shard budget). Retry on the least-loaded
-  // shard that can admit it before letting the rejection stand; after
-  // ShardRouter::kSpillPromoteAfter consecutive spills the router pins the
-  // tenant to its spill target and stops re-scanning (sticky spill-back).
-  const u32 alt = router_.least_loaded_where(loads, preferred, fits_ever);
-  if (alt != ShardRouter::kNone) {
-    ++spilled_;
-    router_.note_spill(spec.locality_key, alt);
-    // The scan probed several shards; re-ask the winner for its carve.
-    return {alt, true,
-            slots_[alt].service->admission_carve(spec, record_bytes, n)};
-  }
-  // No shard fits: submit to the preferred shard anyway so the tenant
-  // gets a job record with the rejection reason. (The carve is unused —
-  // rejects dispatch directly.)
-  ++rejected_cluster_wide_;
-  return {preferred, false, 0};
+bool Cluster::is_active_locked(u32 id) const {
+  return std::binary_search(active_.begin(), active_.end(), id);
 }
 
 void Cluster::add_record_locked(JobId id, JobInfo rec) {
@@ -185,18 +118,6 @@ bool Cluster::held_before(const HeldJob& a, const HeldJob& b) {
   return a.id < b.id;
 }
 
-void Cluster::hold_insert_locked(HeldJob h) {
-  const JobId id = h.id;
-  jobtrace::FlightRecorder::instance().record(
-      h.job.spec.trace_id, jobtrace::EventKind::kParked,
-      h.park_reason.c_str(), h.home);
-  jobtrace::Scope scope(h.job.spec.trace_id, h.job.spec.parent_trace_id);
-  auto pos = std::upper_bound(hold_.begin(), hold_.end(), h, held_before);
-  hold_.insert(pos, std::move(h));
-  PDM_TRACE_INSTANT_ARG("cluster", "job_parked", "job", id);
-  note_hold_depth(hold_.size());
-}
-
 void Cluster::on_capacity_freed() {
   std::lock_guard g(mu_);
   if (stopping_) return;
@@ -204,12 +125,23 @@ void Cluster::on_capacity_freed() {
 }
 
 void Cluster::pump_locked() {
-  if (stopping_ || hold_.empty() || router_.num_active() == 0) return;
-  const std::vector<u32> act = router_.active();  // copy: dispatch mutates
+  if (stopping_ || hold_.empty()) return;
   // Fresh headroom snapshot (each load() briefly takes its shard's
   // mutex; lock order is always cluster -> shard).
   std::vector<ShardLoad> loads(slots_.size());
-  for (u32 s : act) loads[s] = slots_[s].service->load();
+  for (u32 s : active_) loads[s] = slots_[s].service->load();
+  // The lowest-score active shard passing `ok` (ties to the lowest id),
+  // or kHeldShard if none does.
+  auto lowest_score = [&](auto ok) {
+    u32 best = kHeldShard;
+    for (u32 s : active_) {
+      if (ok(s) && (best == kHeldShard ||
+                    loads[s].score() < loads[best].score())) {
+        best = s;
+      }
+    }
+    return best;
+  };
 
   auto& flight = jobtrace::FlightRecorder::instance();
   for (usize i = 0; i < hold_.size();) {
@@ -221,23 +153,42 @@ void Cluster::pump_locked() {
       return slots_[s].service->admission_carve(h.job.spec,
                                                 h.job.record_bytes, h.job.n);
     };
-    // A home that was drained re-routes once (and sticks, so repeated
-    // pumps don't re-roll round-robin state for the same job). A hard
-    // pin on a drained shard dissolves back to router placement first
-    // (cannot happen to distributed ranges — their shards are fenced).
-    if (!router_.is_active(h.home)) {
-      if (h.job.spec.target_shard != SortJobSpec::kAnyShard &&
-          !router_.is_active(h.job.spec.target_shard)) {
-        h.job.spec.target_shard = SortJobSpec::kAnyShard;
-      }
-      h.home = router_.place(h.job.spec, loads);
+    auto reject = [&](std::string why) {
+      JobInfo rec = held_snapshot(h, JobState::kRejected);
+      rec.error = std::move(why);
+      flight.note_end(h.job.spec.trace_id, jobtrace::EventKind::kRejected,
+                      rec.error.c_str(), /*bad=*/true, h.home);
+      add_record_locked(h.id, std::move(rec));
+      jobs_.erase(h.id);
+      ++held_rejected_;
+      ++rejected_cluster_wide_;
+      hold_.erase(hold_.begin() + static_cast<std::ptrdiff_t>(i));
+    };
+    // The placement rule, applied on the job's first pump and again only
+    // if its home has left the active set since: the pin while its shard
+    // is active, else the lowest-score shard whose budget can hold the
+    // carve.
+    const u32 pin = h.job.spec.target_shard;
+    const bool pinned =
+        pin != SortJobSpec::kAnyShard && is_active_locked(pin);
+    if (!is_active_locked(h.home)) {
+      h.home = pinned ? pin : lowest_score([&](u32 s) {
+        return carve_on(s) <= loads[s].budget_limit;
+      });
     }
-    // Deadline pump admission: a parked deadline job whose calibrated run
+    const usize home_carve = h.home == kHeldShard ? 0 : carve_on(h.home);
+    if (h.home == kHeldShard || home_carve > loads[h.home].budget_limit) {
+      reject(
+          "admission control: no active shard can fit the job's memory "
+          "carve");
+      continue;
+    }
+    // Deadline pump admission: a deadline job whose calibrated run
     // estimate no longer fits inside the time it has left can only be
-    // dispatched to miss — reject it at the pump instead of burning a
-    // shard slot on a hopeless run. Gated on the home shard's
-    // deadline_admission flag, like the shard-side check it front-runs,
-    // and calibrated by the same EMA the shard feeds (deadline_cal).
+    // dispatched to miss — reject it here instead of burning a shard slot
+    // on a hopeless run. Gated on the home shard's deadline_admission
+    // flag, like the shard-side check it front-runs, and calibrated by the
+    // same EMA the shard feeds (deadline_cal).
     if (h.job.spec.deadline_s > 0 &&
         slots_[h.home].service->config().deadline_admission) {
       SortService& svc = *slots_[h.home].service;
@@ -248,195 +199,110 @@ void Cluster::pump_locked() {
       const double remaining =
           h.job.spec.deadline_s - seconds(Clock::now() - h.t_submit);
       if (est > 0 && est * cal > remaining) {
-        JobInfo rec = held_snapshot(h, JobState::kRejected);
-        rec.error = "deadline admission (pump): calibrated run estimate " +
-                    std::to_string(est * cal) +
-                    "s exceeds the deadline's remaining " +
-                    std::to_string(std::max(0.0, remaining)) + "s";
-        flight.note_end(h.job.spec.trace_id, jobtrace::EventKind::kRejected,
-                        rec.error.c_str(), /*bad=*/true, h.home);
         PDM_TRACE_INSTANT_ARG("cluster", "held_rejected_deadline", "job",
                               h.id);
-        add_record_locked(h.id, std::move(rec));
-        jobs_.erase(h.id);
-        ++held_rejected_;
         ++held_rejected_deadline_;
-        ++rejected_cluster_wide_;
-        hold_.erase(hold_.begin() + static_cast<std::ptrdiff_t>(i));
-        note_hold_depth(hold_.size());
+        reject("deadline admission (pump): calibrated run estimate " +
+               std::to_string(est * cal) +
+               "s exceeds the deadline's remaining " +
+               std::to_string(std::max(0.0, remaining)) + "s");
         continue;
       }
     }
-    // A hard-pinned job dispatches to its pin or stays parked: no steal.
-    const bool hard_pinned =
-        h.job.spec.target_shard != SortJobSpec::kAnyShard &&
-        router_.is_active(h.job.spec.target_shard);
-    u32 target = ShardRouter::kNone;
-    usize target_carve = 0;
-    bool fits_somewhere = false;
-    {
-      const usize c = carve_on(h.home);
-      if (c <= slots_[h.home].service->budget().limit()) {
-        fits_somewhere = true;
-        if (!cfg_.hold_queue || loads[h.home].fits_now(c)) {
-          target = h.home;
-          target_carve = c;
-        }
+    // Home if it can start the job now, else (unpinned) the lowest-score
+    // shard that can: a steal.
+    u32 target = kHeldShard;
+    usize target_carve = home_carve;
+    if (loads[h.home].fits_now(home_carve)) {
+      target = h.home;
+    } else if (!pinned) {
+      target = lowest_score(
+          [&](u32 s) { return loads[s].fits_now(carve_on(s)); });
+      if (target != kHeldShard) target_carve = carve_on(target);
+    }
+    if (target == kHeldShard) {
+      if (!h.parked) {
+        // Still here after its own submit's pump: the job waits.
+        h.parked = true;
+        h.park_reason = pinned ? "pinned shard has no headroom"
+                               : "no shard has headroom";
+        flight.record(h.job.spec.trace_id, jobtrace::EventKind::kParked,
+                      h.park_reason.c_str(), h.home);
+        PDM_TRACE_INSTANT_ARG("cluster", "job_parked", "job", h.id);
+        ++held_total_;
       }
-    }
-    if (target == ShardRouter::kNone && !hard_pinned) {
-      // Steal scan: the least-loaded other shard that can take it now
-      // (or, with the hold queue disabled — migration-only mode — that
-      // can ever take it).
-      double best = 0;
-      for (u32 s : act) {
-        if (s == h.home) continue;
-        const usize c = carve_on(s);
-        if (c > slots_[s].service->budget().limit()) continue;
-        fits_somewhere = true;
-        if (cfg_.hold_queue && !loads[s].fits_now(c)) continue;
-        if (target == ShardRouter::kNone || loads[s].score() < best) {
-          target = s;
-          target_carve = c;
-          best = loads[s].score();
-        }
-      }
-    }
-    if (!fits_somewhere) {
-      // Every shard that could ever have admitted it was drained:
-      // reject cluster-side with a terminal record.
-      JobInfo rec = held_snapshot(h, JobState::kRejected);
-      rec.error =
-          "admission control: no active shard can fit the job's memory "
-          "carve (its fitting shards were drained)";
-      flight.note_end(h.job.spec.trace_id, jobtrace::EventKind::kRejected,
-                      rec.error.c_str(), /*bad=*/true, h.home);
-      add_record_locked(h.id, std::move(rec));
-      jobs_.erase(h.id);
-      ++held_rejected_;
-      ++rejected_cluster_wide_;
-      hold_.erase(hold_.begin() + static_cast<std::ptrdiff_t>(i));
-      note_hold_depth(hold_.size());
-      continue;
-    }
-    if (target == ShardRouter::kNone) {
-      ++i;  // nobody has headroom yet; a capacity callback will retry
+      ++i;  // a capacity callback will retry
       continue;
     }
     // Dispatch. Deadlines are wall-clock promises made at submission:
-    // charge the time spent parked against the relative deadline the
-    // serving shard sees.
+    // charge the time spent in the cluster against the relative deadline
+    // the serving shard sees.
     const double parked_s = seconds(Clock::now() - h.t_submit);
     if (h.job.spec.deadline_s > 0) {
       h.job.spec.deadline_s = std::max(1e-9, h.job.spec.deadline_s - parked_s);
     }
-    metrics::Registry::global().histogram("cluster.hold_park_ns").record(
-        parked_s > 0 ? static_cast<u64>(parked_s * 1e9) : 0);
-    if (trace::TraceLog::instance().enabled()) {
-      // Retro-span covering the park: submission to this dispatch.
-      const u64 now_ns = trace::TraceLog::now_ns();
-      const u64 dur = std::min(
-          now_ns, parked_s > 0 ? static_cast<u64>(parked_s * 1e9) : 0);
-      trace::TraceLog::instance().complete("cluster", "hold_park",
-                                           now_ns - dur, dur, "job", h.id);
-    }
     if (target != h.home) {
-      // Steal: record both shard ids — where the job was placed (home)
-      // and where it actually dispatched.
+      // Steal: record both shard ids — the home and where the job went.
       flight.record(h.job.spec.trace_id, jobtrace::EventKind::kStolen,
                     nullptr, h.home, target);
+      trace::TraceLog::instance().instant("cluster", "job_stolen", "from",
+                                          h.home, "to", target);
+      ++stolen_;
     }
-    flight.record(h.job.spec.trace_id, jobtrace::EventKind::kDispatched,
-                  nullptr, target);
+    if (h.parked) {
+      const u64 parked_ns =
+          parked_s > 0 ? static_cast<u64>(parked_s * 1e9) : 0;
+      metrics::Registry::global().histogram("cluster.hold_park_ns").record(
+          parked_ns);
+      if (trace::TraceLog::instance().enabled()) {
+        // Retro-span covering the park: submission to this dispatch.
+        const u64 now_ns = trace::TraceLog::now_ns();
+        const u64 dur = std::min(now_ns, parked_ns);
+        trace::TraceLog::instance().complete("cluster", "hold_park",
+                                             now_ns - dur, dur, "job", h.id);
+      }
+      flight.record(h.job.spec.trace_id, jobtrace::EventKind::kDispatched,
+                    nullptr, target);
+    }
     const JobId local =
         slots_[target].service->submit_prepared(std::move(h.job));
     jobs_[h.id] = Placement{target, local};
     ++jobs_per_shard_[target];
-    if (target != h.home) {
-      ++stolen_;
-      trace::TraceLog::instance().instant("cluster", "job_stolen", "from",
-                                          h.home, "to", target);
-    }
-    // Reflect the reservation in our load copy so later holds in this
-    // pump see the shard as (possibly) full again.
+    // Reflect the job in our load copy so later holds in this pump see
+    // the shard as (possibly) full again.
     loads[target].queued += 1;
     loads[target].reserved_bytes += target_carve;
     hold_.erase(hold_.begin() + static_cast<std::ptrdiff_t>(i));
-    note_hold_depth(hold_.size());
   }
+  note_hold_depth(hold_.size());
   place_cv_.notify_all();
 }
 
 JobId Cluster::submit_prepared(PreparedJob job) {
   PDM_CHECK(job.run != nullptr, "submit_prepared: empty job");
-  // Before placement: admission_carve keys the shards' plan caches by
-  // alpha, and a NaN key would break the caches' ordering.
-  check_alpha(job.spec.alpha);
-  // Cluster admission is the id minting point for routed jobs (range
+  // Everything a shard would refuse to queue is refused here, before the
+  // job is registered: the pump hands jobs to shards and must not throw.
+  // (NaN alpha would also break the shards' plan-cache ordering, which
+  // placement reads through admission_carve.)
+  check_job(job.spec, job.n);
+  // Cluster admission is the id minting point for submitted jobs (range
   // sub-jobs arrive with ids already assigned by submit_distributed).
   if (job.spec.trace_id == 0) job.spec.trace_id = jobtrace::mint();
   jobtrace::Scope trace_scope(job.spec.trace_id, job.spec.parent_trace_id);
-  // Placement cost = load polling + lock wait + routing decision.
+  // Placement cost = lock wait + the pump that places the job.
   trace::TraceSpan place_span("cluster", "placement", "n", job.n);
-  std::vector<ShardLoad> loads = shard_loads();
-  std::unique_lock lock(mu_);
+  std::lock_guard g(mu_);
   PDM_CHECK(!stopping_, "Cluster is shutting down");
-  // An add_shard may have landed between the loads snapshot and the
-  // lock: top the snapshot up so it covers every slot (each load()
-  // briefly takes its shard's mutex — cluster -> shard order).
-  while (loads.size() < slots_.size()) {
-    const usize i = loads.size();
-    loads.push_back(slots_[i].state == SlotState::kActive
-                        ? slots_[i].service->load()
-                        : ShardLoad{.shard = static_cast<u32>(i)});
-  }
-  const JobId id = next_id_++;
-  const PlaceResult pr =
-      place_locked(job.spec, job.record_bytes, job.n, loads);
-  place_span.end();
-  // Direct dispatch when the hold queue is off, the job is a cluster-wide
-  // reject (the shard produces the rejection record), or the placed shard
-  // has headroom AND no earlier job is parked (order preservation: a
-  // non-empty queue means everything routes through it).
-  const bool direct = !cfg_.hold_queue || !pr.admissible ||
-                      (hold_.empty() && loads[pr.shard].fits_now(pr.carve));
-  if (direct) {
-    auto svc = slots_[pr.shard].service;
-    ++slots_[pr.shard].in_flight_submits;
-    lock.unlock();
-    JobId local = 0;
-    try {
-      local = svc->submit_prepared(std::move(job));
-    } catch (...) {
-      lock.lock();
-      --slots_[pr.shard].in_flight_submits;
-      place_cv_.notify_all();
-      throw;
-    }
-    lock.lock();
-    --slots_[pr.shard].in_flight_submits;
-    jobs_.emplace(id, Placement{pr.shard, local});
-    ++jobs_per_shard_[pr.shard];
-    place_cv_.notify_all();
-  } else {
-    HeldJob h;
-    h.id = id;
-    h.home = pr.shard;
-    h.t_submit = Clock::now();
-    if (job.spec.deadline_s > 0) {
-      h.deadline_abs =
-          h.t_submit + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(job.spec.deadline_s));
-    }
-    h.park_reason = !hold_.empty()
-                        ? "queued behind earlier parked jobs"
-                        : "no headroom on home shard";
-    h.job = std::move(job);
-    hold_insert_locked(std::move(h));
-    jobs_.emplace(id, Placement{});  // kHeldShard
-    ++held_total_;
-    pump_locked();  // may dispatch immediately (idle shards steal)
-  }
+  HeldJob h;
+  h.id = next_id_++;
+  h.t_submit = Clock::now();
+  h.deadline_abs = deadline_at(h.t_submit, job.spec.deadline_s);
+  h.job = std::move(job);
+  const JobId id = h.id;
+  hold_.insert(std::upper_bound(hold_.begin(), hold_.end(), h, held_before),
+               std::move(h));
+  jobs_.emplace(id, Placement{});  // kHeldShard until the pump places it
+  pump_locked();
   maybe_prune_locked();
   return id;
 }
@@ -455,11 +321,11 @@ u32 Cluster::add_shard(ServiceConfig sc) {
   // immediately); topo_mu_ keeps the id reservation safe.
   auto svc = make_service(id, std::move(sc));
   std::lock_guard g(mu_);
-  slots_.push_back(Slot{std::move(svc), SlotState::kActive, 0});
+  slots_.push_back(Slot{std::move(svc), SlotState::kActive});
   jobs_per_shard_.push_back(0);
-  router_.add_shard(id);
+  active_.push_back(id);  // ids only grow: the list stays sorted
   ++shards_added_;
-  // The newcomer steals parked backlog right away.
+  // The newcomer takes parked backlog right away.
   pump_locked();
   place_cv_.notify_all();
   return id;
@@ -469,14 +335,14 @@ void Cluster::drain_shard(u32 id) {
   std::lock_guard topo(topo_mu_);
   std::shared_ptr<SortService> svc;
   {
-    std::unique_lock lock(mu_);
+    std::lock_guard g(mu_);
     PDM_CHECK(id < slots_.size(), "drain_shard: unknown shard");
     PDM_CHECK(slots_[id].state == SlotState::kActive,
               "drain_shard: shard is not active");
-    PDM_CHECK(router_.num_active() > 1,
+    PDM_CHECK(active_.size() > 1,
               "drain_shard: cannot drain the last active shard");
     // Graceful-shrink guard: a shard that owns an in-flight distributed
-    // range cannot retire — pinned ranges do not migrate. Checked under
+    // range cannot retire — pinned ranges run nowhere else. Checked under
     // mu_ BEFORE any state changes (dist_begin assigns targets under the
     // same mutex, so the fence cannot be raced), so a veto leaves the
     // topology untouched.
@@ -489,64 +355,18 @@ void Cluster::drain_shard(u32 id) {
                       "); distributed_wait() it before retiring the shard");
       }
     }
+    // Step 1: leave the active set. Pumps stop picking the shard, and
+    // held jobs homed on it re-home at this pump (a pinned one may now
+    // start elsewhere).
     slots_[id].state = SlotState::kDraining;
-    router_.remove_shard(id);  // placement and pumps stop picking it
-    // Direct submits that chose this shard before the drain settle
-    // first, so extraction sees every queued job.
-    place_cv_.wait(lock,
-                   [&] { return slots_[id].in_flight_submits == 0; });
+    std::erase(active_, id);
     svc = slots_[id].service;
-  }
-  // Phase A: pull every still-queued job off the shard. Their shard
-  // records go kMigrated (waiters bounce back to us); running jobs are
-  // untouched and finish below.
-  auto extracted = svc->extract_queued();
-  {
-    std::lock_guard g(mu_);
-    // Reverse-map this shard's local ids to cluster ids.
-    std::map<JobId, JobId> to_cluster;
-    for (const auto& [cid, p] : jobs_) {
-      if (p.shard == id) to_cluster[p.local] = cid;
-    }
-    for (auto& ex : extracted) {
-      auto found = to_cluster.find(ex.local_id);
-      // Jobs submitted directly to the shard (bypassing the cluster)
-      // have no cluster id; adopt them under a fresh one so they are
-      // not lost.
-      const JobId cid =
-          found != to_cluster.end() ? found->second : next_id_++;
-      if (found != to_cluster.end() && jobs_per_shard_[id] > 0) {
-        --jobs_per_shard_[id];  // it re-counts where it re-places
-      }
-      HeldJob h;
-      h.id = cid;
-      h.home = id;  // inactive now; pump re-routes it once
-      h.t_submit = ex.t_submit;
-      if (ex.job.spec.deadline_s > 0) {
-        h.deadline_abs =
-            ex.t_submit +
-            std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double>(ex.job.spec.deadline_s));
-      }
-      h.park_reason = "migrated off draining shard " + std::to_string(id);
-      jobtrace::FlightRecorder::instance().record(
-          ex.job.spec.trace_id, jobtrace::EventKind::kMigrated, nullptr, id);
-      jobtrace::Scope scope(ex.job.spec.trace_id,
-                            ex.job.spec.parent_trace_id);
-      h.job = std::move(ex.job);
-      hold_insert_locked(std::move(h));
-      jobs_[cid] = Placement{};  // kHeldShard
-      ++migrated_;
-      PDM_TRACE_INSTANT_ARG("cluster", "job_migrated", "job", cid);
-    }
-    // Phase B: re-place the migrants immediately where possible, and
-    // wake waiters that saw kMigrated so they re-resolve.
     pump_locked();
-    place_cv_.notify_all();
   }
-  // Phase C: running (and claimed) jobs finish on the shard.
+  // Step 2: the jobs the shard already accepted finish there. Only a
+  // pump hands a shard jobs, so none arrive from here on.
   svc->drain();
-  // Phase D: move the shard's terminal records and final stats into
+  // Step 3: move the shard's terminal records and final stats into
   // cluster-held storage, then retire the slot. Waiters still blocked
   // inside svc->wait() hold their own shared_ptr — the service object
   // outlives them.
@@ -558,7 +378,7 @@ void Cluster::drain_shard(u32 id) {
     }
     for (JobInfo ji : svc->jobs()) {
       auto found = to_cluster.find(ji.id);
-      if (found == to_cluster.end()) continue;  // direct-to-shard submit
+      if (found == to_cluster.end()) continue;  // submitted to the shard
       ji.id = found->second;
       const JobId cid = found->second;
       add_record_locked(cid, std::move(ji));
@@ -591,7 +411,7 @@ bool Cluster::shard_active(u32 id) const {
 
 std::vector<u32> Cluster::active_shards() const {
   std::lock_guard g(mu_);
-  return router_.active();
+  return active_;
 }
 
 usize Cluster::num_shards() const {
@@ -620,84 +440,40 @@ JobInfo Cluster::wait(JobId id) {
     auto it = jobs_.find(id);
     PDM_CHECK(it != jobs_.end(), "cluster: unknown job id");
     const Placement p = it->second;
-    if (p.shard == kHeldShard || slots_[p.shard].service == nullptr) {
-      // Parked (or racing a retirement that is about to publish the
-      // record): wait for the placement or record to change.
-      place_cv_.wait(lock);
-      continue;
+    if (p.shard != kHeldShard) {
+      // A placement never moves; a retirement that publishes the record
+      // meanwhile leaves the service (held by svc) answering.
+      auto svc = slots_[p.shard].service;
+      lock.unlock();
+      JobInfo info = svc->wait(p.local);
+      info.id = id;
+      return info;
     }
-    auto svc = slots_[p.shard].service;
-    lock.unlock();
-    JobInfo info = svc->wait(p.local);
-    lock.lock();
-    if (info.state == JobState::kMigrated) {
-      // Extracted off a draining shard between our placement read and
-      // the shard-side wait; wait for the re-placement to land.
-      place_cv_.wait(lock, [&] {
-        if (records_.count(id) != 0) return true;
-        auto again = jobs_.find(id);
-        return again == jobs_.end() ||
-               again->second.shard != p.shard ||
-               again->second.local != p.local;
-      });
-      continue;
-    }
-    info.id = id;
-    return info;
+    place_cv_.wait(lock);  // parked: wait for its dispatch or its record
   }
 }
 
 JobInfo Cluster::info(JobId id) const {
-  std::unique_lock lock(mu_);
-  for (;;) {
+  std::shared_ptr<SortService> svc;
+  JobId local = 0;
+  {
+    std::lock_guard g(mu_);
     if (auto r = records_.find(id); r != records_.end()) return r->second;
     auto it = jobs_.find(id);
     PDM_CHECK(it != jobs_.end(), "cluster: unknown job id");
-    const Placement p = it->second;
-    if (p.shard == kHeldShard) {
+    if (it->second.shard == kHeldShard) {
       // Synthesize a queued snapshot from the hold entry.
       auto held = std::find_if(hold_.begin(), hold_.end(),
                                [&](const HeldJob& h) { return h.id == id; });
       PDM_ASSERT(held != hold_.end(), "held placement without a hold entry");
       return held_snapshot(*held, JobState::kQueued);
     }
-    if (slots_[p.shard].service == nullptr) {
-      place_cv_.wait(lock);  // racing a retirement's record publication
-      continue;
-    }
-    auto svc = slots_[p.shard].service;
-    lock.unlock();
-    bool migrated = false;
-    try {
-      JobInfo out = svc->info(p.local);
-      if (out.state != JobState::kMigrated) {
-        out.id = id;
-        return out;
-      }
-      migrated = true;
-    } catch (const Error&) {
-      // The record vanished under us (extraction or retention); if the
-      // placement moved on, retry against the new home — otherwise it
-      // really is gone.
-      lock.lock();
-      auto again = jobs_.find(id);
-      if (again != jobs_.end() && again->second.shard == p.shard &&
-          again->second.local == p.local && records_.count(id) == 0) {
-        throw;
-      }
-      continue;
-    }
-    lock.lock();
-    if (migrated) {
-      // Extracted off a draining shard; wait for the re-placement.
-      place_cv_.wait(lock, [&] {
-        if (records_.count(id) != 0) return true;
-        auto again = jobs_.find(id);
-        return again == jobs_.end() || again->second.shard != p.shard ||
-               again->second.local != p.local;
-      });
-    }
+    svc = slots_[it->second.shard].service;
+    local = it->second.local;
   }
+  JobInfo out = svc->info(local);
+  out.id = id;
+  return out;
 }
 
 bool Cluster::cancel(JobId id) {
@@ -706,8 +482,10 @@ bool Cluster::cancel(JobId id) {
     if (dist_records_.count(id) != 0) return false;  // terminal distributed
   }
   if (dist_cancel(id)) return true;
-  std::unique_lock lock(mu_);
-  for (;;) {
+  std::shared_ptr<SortService> svc;
+  JobId local = 0;
+  {
+    std::lock_guard g(mu_);
     if (records_.count(id) != 0) return false;  // already terminal
     auto held = std::find_if(hold_.begin(), hold_.end(),
                              [&](const HeldJob& h) { return h.id == id; });
@@ -725,31 +503,12 @@ bool Cluster::cancel(JobId id) {
     }
     auto it = jobs_.find(id);
     if (it == jobs_.end()) return false;
-    const Placement p = it->second;
-    if (p.shard == kHeldShard) {
-      // Placement says held but the hold entry is gone: a pump is
-      // mid-dispatch is impossible (both happen under mu_), so this is
-      // a record transition we raced; retry.
-      place_cv_.wait(lock);
-      continue;
-    }
-    if (slots_[p.shard].service == nullptr) {
-      place_cv_.wait(lock);  // racing retirement's record publication
-      continue;
-    }
-    auto svc = slots_[p.shard].service;
-    lock.unlock();
-    const bool ok = svc->cancel(p.local);
-    lock.lock();
-    if (ok) return true;
-    // A false may mean "terminal" — or "migrated away mid-call". Retry
-    // only if the placement moved.
-    auto again = jobs_.find(id);
-    if (again == jobs_.end() || (again->second.shard == p.shard &&
-                                 again->second.local == p.local)) {
-      return false;
-    }
+    PDM_ASSERT(it->second.shard != kHeldShard,
+               "held placement without a hold entry");
+    svc = slots_[it->second.shard].service;
+    local = it->second.local;
   }
+  return svc->cancel(local);
 }
 
 bool Cluster::forget(JobId id) {
@@ -769,20 +528,16 @@ bool Cluster::forget(JobId id) {
   if (it == jobs_.end()) return false;
   const Placement p = it->second;
   if (p.shard == kHeldShard) return false;  // still queued (held)
-  if (slots_[p.shard].service == nullptr) return false;  // racing retirement
   auto svc = slots_[p.shard].service;
   lock.unlock();
   // The shard refuses while the job is queued/running; a record the
   // shard's retention policy already dropped counts as forgotten.
   const bool dropped = svc->forget(p.local) || !svc->known(p.local);
-  lock.lock();
-  auto again = jobs_.find(id);
-  if (again == jobs_.end() || again->second.shard != p.shard ||
-      again->second.local != p.local) {
-    return false;  // migrated away mid-call: the job lives elsewhere
-  }
   if (!dropped) return false;
-  jobs_.erase(again);
+  lock.lock();
+  // A retirement in between may have copied the record to cluster level.
+  records_.erase(id);
+  jobs_.erase(id);
   return true;
 }
 
@@ -820,9 +575,7 @@ void Cluster::drain() {
     }
     for (auto& s : svcs) s->drain();
     std::lock_guard g(mu_);
-    bool settled = hold_.empty() && dist_jobs_.empty();
-    for (const Slot& s : slots_) settled = settled && s.in_flight_submits == 0;
-    if (settled) return;
+    if (hold_.empty() && dist_jobs_.empty()) return;
   }
 }
 
@@ -835,13 +588,12 @@ Cluster::DistBegin Cluster::dist_begin(const std::string& name,
                                        u64 trace_id) {
   std::lock_guard g(mu_);
   PDM_CHECK(!stopping_, "Cluster is shutting down");
-  PDM_CHECK(router_.num_active() > 0, "submit_distributed: no active shards");
+  PDM_CHECK(!active_.empty(), "submit_distributed: no active shards");
   DistBegin b;
   b.id = next_id_++;
-  const std::vector<u32>& act = router_.active();
   b.targets.reserve(pst.ranges);
   for (u32 r = 0; r < pst.ranges; ++r) {
-    b.targets.push_back(act[r % act.size()]);
+    b.targets.push_back(active_[r % active_.size()]);
   }
   DistJob dj;
   dj.info.id = b.id;
@@ -1026,7 +778,7 @@ ClusterStats Cluster::stats() const {
   {
     std::lock_guard g(mu_);
     c.shards = slots_.size();
-    c.active = router_.num_active();
+    c.active = active_.size();
     for (usize i = 0; i < slots_.size(); ++i) {
       if (auto it = retired_stats_.find(static_cast<u32>(i));
           it != retired_stats_.end()) {
@@ -1034,7 +786,6 @@ ClusterStats Cluster::stats() const {
       }
     }
     c.jobs_per_shard = jobs_per_shard_;
-    c.spilled = spilled_;
     c.rejected_cluster_wide = rejected_cluster_wide_;
     c.held_now = hold_.size();
     c.held_total = held_total_;
@@ -1042,7 +793,6 @@ ClusterStats Cluster::stats() const {
     c.held_rejected = held_rejected_;
     c.held_rejected_deadline = held_rejected_deadline_;
     c.stolen = stolen_;
-    c.migrated = migrated_;
     c.shards_added = shards_added_;
     c.shards_drained = shards_drained_;
     c.cluster_records = records_.size();

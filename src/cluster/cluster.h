@@ -3,49 +3,51 @@
 // One SortService is one machine's worth of shared resources: one disk
 // array, one memory budget, one worker pool. A Cluster owns N such shards
 // — each with its own DiskBackend (stamped out by a BackendFactory), its
-// own DiskAllocator, MemoryBudget and workers — behind a ShardRouter that
-// places incoming jobs by policy (round-robin / power-of-two-choices
-// least-loaded / consistent-hash locality ring). Shards share nothing, so
+// own DiskAllocator, MemoryBudget and workers. Shards share nothing, so
 // jobs on different shards never contend for disks, allocator cursors,
-// budget or the service mutex; routing multiplies jobs/sec while every
+// budget or the service mutex; sharding multiplies jobs/sec while every
 // job's pass count stays exactly its single-shard value (the paper's
-// bounds are per-array properties — see bench_e16_cluster_routing).
+// bounds are per-array properties — see bench_e16_cluster_routing). The
+// only thing the cluster decides is which shard starts a job, and when.
+//
+// One dispatch path: every submitted job enters a cluster hold queue
+// ordered priority-desc / EDF / FIFO, and a pump hands out its jobs in
+// that order under the cluster mutex, against fresh ShardLoads. A job
+// goes to its home shard if the home can start it now (a free worker and
+// room in the budget — ShardLoad::fits_now), else to the lowest-score
+// active shard that can (a steal), else it stays parked. A job no active
+// shard's budget could ever hold is rejected cluster-side. The pump runs
+// on every submit, every finished task (SortService capacity callback),
+// add_shard and drain_shard, so a shard only ever receives jobs it can
+// start at once and never builds a local backlog.
+//
+// One placement rule: a job's home is its SortJobSpec::target_shard pin
+// while that shard is active; otherwise the lowest-ShardLoad::score()
+// active shard whose budget can hold the job's carve (ties to the lowest
+// shard id). A pinned job is never stolen.
 //
 // Elasticity: the topology is live. add_shard() stamps out a fresh
-// SortService through the retained BackendFactory and inserts it into
-// the router (the consistent-hash ring means only ~1/N locality keys
-// remap to it). drain_shard(id) retires a shard without losing a job:
-// placement stops, in-flight submissions settle, still-queued jobs are
-// extracted (their shard records go kMigrated) and re-parked in the
-// cluster hold queue for the surviving shards, running jobs finish, and
-// the shard's terminal records and final stats move into cluster-held
+// SortService through the retained BackendFactory and pumps at once, so
+// the newcomer takes parked backlog. drain_shard(id) retires a shard in
+// three steps: the shard leaves the active set (held jobs homed on it
+// re-home at the next pump), the jobs it already accepted finish there,
+// and its terminal records and final stats move into cluster-held
 // storage before the service is destroyed. Shard ids are slot indices
 // and are never reused.
 //
-// Hold queue + work stealing: a job whose placed shard cannot admit it
-// *right now* (no free worker or no memory headroom — ShardLoad::
-// fits_now) parks in a cluster-level queue ordered priority-desc /
-// EDF / FIFO instead of burying itself in the hot shard's local queue.
-// Every time any shard finishes a task it pumps the queue (SortService
-// capacity callback): the head jobs go to their home shard if it now
-// has headroom, else the least-loaded other shard that can ever fit
-// them steals them. Overflow spill (a job whose carve can NEVER fit its
-// preferred shard) still rescans for a fitting shard at placement, and
-// jobs no active shard can ever admit are rejected.
-//
 // Job ids are cluster-global; wait/info/cancel/forget proxy to the
-// owning shard, follow migrations, and fall back to cluster-held records
-// for retired shards and hold-queue terminals. ClusterStats rolls the
-// per-shard ServiceStats (live and retired) up into cluster totals with
-// the same exact-sum I/O invariant the service established, plus
-// per-shard imbalance and elasticity figures the benches gate on.
+// owning shard and fall back to cluster-held records for retired shards
+// and hold-queue terminals. ClusterStats rolls the per-shard ServiceStats
+// (live and retired) up into cluster totals with the same exact-sum I/O
+// invariant the service established, plus per-shard imbalance and
+// elasticity figures the benches gate on.
 //
 // One giant sort: submit_distributed<R>() sorts a dataset no single
 // shard could hold at one shard's wall clock divided by ~P. Sampled
 // splitters partition the input into P contiguous key ranges
 // (range_partition.h), each range is pinned to a shard
-// (SortJobSpec::target_shard) and submitted through the normal
-// hold-queue/placement path, each shard sorts its range locally at its
+// (SortJobSpec::target_shard) and submitted through the hold queue like
+// any other job, each shard sorts its range locally at its
 // paper-bound pass count, the sorted ranges are exported over the extent
 // layer (extent_exchange.h) and concatenated in splitter order by a
 // per-job coordinator thread. While any range is in flight its shard is
@@ -70,7 +72,6 @@
 #include "cluster/cluster_stats.h"
 #include "cluster/distributed_sort.h"
 #include "cluster/range_partition.h"
-#include "cluster/shard_router.h"
 #include "pdm/backend_factory.h"
 #include "pdm/extent_exchange.h"
 #include "service/sort_service.h"
@@ -94,27 +95,11 @@ struct ClusterConfig {
   /// non-empty): heterogeneous clusters, e.g. one big-memory shard.
   std::vector<ServiceConfig> shard_configs;
 
-  /// Placement policy. Whatever the policy, sticky spill-back applies:
-  /// after ShardRouter::kSpillPromoteAfter consecutive overflow spills of
-  /// one locality key, the router pins the key to its latest spill target
-  /// instead of re-scanning every submission; the target becomes the
-  /// tenant's new preferred shard until it, too, stops fitting (which
-  /// re-pins on the next spill) or is drained (which dissolves the pin).
-  RoutePolicy policy = RoutePolicy::kLeastLoaded;
-
   /// Retention for cluster-held terminal records (retired shards' jobs
   /// and hold-queue terminals): keep at most this many, FIFO-evicted
   /// (0 = unbounded, matching ServiceConfig::retain_terminal_max).
   /// Lookups of an evicted id throw, exactly like shard-side retention.
   usize retain_cluster_records_max = 0;
-
-  /// Cluster hold queue with work stealing: park jobs their placed shard
-  /// lacks the headroom to start now and let other shards steal them
-  /// (see the class comment). Off restores strict PR 3 placement —
-  /// every job queues on the shard the router picked, however hot.
-  /// Drain-time migration uses the queue regardless (migrated jobs
-  /// dispatch as soon as any shard can take them).
-  bool hold_queue = true;
 };
 
 class Cluster {
@@ -132,11 +117,11 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Routes and submits a sort job (same contract as SortService::submit,
-  /// plus placement). Returns a cluster-global job id immediately. Only
-  /// placement and id registration serialize on the cluster mutex; a
-  /// direct shard submit (the common, headroom-available case) runs
-  /// outside it, so submitters scale with the shards.
+  /// Places and submits a sort job (same contract as SortService::submit,
+  /// plus placement). Returns a cluster-global job id immediately; the
+  /// job is running, queued to start on a shard, or parked in the hold
+  /// queue. Throws pdm::Error for what a shard would refuse to queue
+  /// (check_job), before the job is registered.
   template <Record R, class Cmp = std::less<R>>
   JobId submit(SortJobSpec spec, std::vector<R> data, Cmp cmp = {},
                std::function<void(const SortResult<R>&)> on_complete = {}) {
@@ -144,8 +129,8 @@ class Cluster {
         std::move(spec), std::move(data), cmp, std::move(on_complete)));
   }
 
-  /// Type-erased submission (see SortService::prepare): routing,
-  /// headroom probe, hold-queue parking and id registration.
+  /// Type-erased submission (see SortService::prepare): id registration,
+  /// then the hold queue and a pump.
   JobId submit_prepared(PreparedJob job);
 
   /// One sort spanning the cluster (see the class comment): partitions
@@ -163,8 +148,8 @@ class Cluster {
   /// Requirements: data.size() % spec.mem_records == 0 (feasibility
   /// rounding keeps every range a multiple of M so per-range plans stay
   /// within the paper's pass bounds), and every target shard must be
-  /// able to admit a job of spec.mem_records (a pinned range is never
-  /// spilled; an unfittable pin fails that range and the job).
+  /// able to admit a job of spec.mem_records (a pinned range never runs
+  /// elsewhere; an unfittable pin fails that range and the job).
   template <Record R, class Cmp = std::less<R>>
   JobId submit_distributed(
       SortJobSpec spec, std::vector<R> data, DistributedOptions opts = {},
@@ -173,7 +158,7 @@ class Cluster {
     PDM_CHECK(!data.empty(), "submit_distributed: empty dataset");
     PDM_CHECK(spec.mem_records > 0,
               "submit_distributed: SortJobSpec.mem_records must be > 0");
-    check_alpha(spec.alpha);
+    check_job(spec, data.size());
     const auto t0 = Clock::now();
     // The distributed job's causal id: partition/coordinate/concat spans
     // are stamped with it, and every range sub-job carries it as parent.
@@ -307,43 +292,42 @@ class Cluster {
 
   /// Adds a live shard built from the config template (or an explicit
   /// one) and the retained BackendFactory; returns its id. The new shard
-  /// joins the router — ~1/N of locality keys remap to it — and
-  /// immediately steals any parked backlog it can admit.
+  /// joins the active set and immediately takes any parked backlog it
+  /// can start.
   u32 add_shard();
   u32 add_shard(ServiceConfig sc);
 
-  /// Retires shard `id` without losing a job: stops placements, migrates
-  /// its still-queued jobs into the hold queue (they re-place on the
-  /// surviving shards), lets running jobs finish, snapshots its terminal
-  /// records and final stats into cluster-held storage, and destroys the
-  /// service. Blocks until retirement completes. Topology changes
-  /// serialize against each other; the last active shard cannot be
-  /// drained. Graceful-shrink guard: throws (before any state changes)
-  /// while the shard owns an in-flight distributed range — pinned ranges
-  /// cannot migrate, so retire the shard after distributed_wait().
+  /// Retires shard `id` without losing a job: takes it out of the active
+  /// set (held jobs homed on it re-home), lets the jobs it already
+  /// accepted finish there, snapshots its terminal records and final
+  /// stats into cluster-held storage, and destroys the service. Blocks
+  /// until retirement completes. Topology changes serialize against each
+  /// other; the last active shard cannot be drained. Graceful-shrink
+  /// guard: throws (before any state changes) while the shard owns an
+  /// in-flight distributed range — retire the shard after
+  /// distributed_wait().
   void drain_shard(u32 id);
 
   bool shard_active(u32 id) const;
   std::vector<u32> active_shards() const;
 
   /// Blocks until the job is terminal; returns its record (JobInfo::id is
-  /// the cluster id, JobInfo::shard the serving shard). Follows hold-
-  /// queue parking and drain migrations to wherever the job ends up.
-  /// Like the service, throws for ids whose record the shard's retention
-  /// policy already dropped — size the shards' retention to cover the
-  /// waiting window.
+  /// the cluster id, JobInfo::shard the serving shard). Follows a parked
+  /// job to the shard it is dispatched to. Like the service, throws for
+  /// ids whose record the shard's retention policy already dropped — size
+  /// the shards' retention to cover the waiting window.
   JobInfo wait(JobId id);
 
   /// Snapshot of one job (throws on unknown or retention-evicted id).
-  /// Held jobs read as kQueued on their placed shard.
+  /// Held jobs read as kQueued on their home shard.
   JobInfo info(JobId id) const;
 
   /// Cancels the job wherever it currently is: in the hold queue (goes
   /// terminal immediately, cluster-side), or on its shard (same
-  /// semantics as SortService::cancel). Follows migrations. A
-  /// distributed id cancels every still-live range sub-job; the job goes
-  /// kCancelled once they settle (ranges past their last checkpoint may
-  /// still finish — if ALL did, the job completes anyway).
+  /// semantics as SortService::cancel). A distributed id cancels every
+  /// still-live range sub-job; the job goes kCancelled once they settle
+  /// (ranges past their last checkpoint may still finish — if ALL did,
+  /// the job completes anyway).
   bool cancel(JobId id);
 
   /// Drops a terminal job's record — on its shard, or from cluster-held
@@ -385,14 +369,10 @@ class Cluster {
   /// retires the slot — do not race the two (waiters that entered via
   /// wait()/info() are safe; this raw handle is an inspection hook).
   SortService& shard(usize i);
-  /// Placement/topology introspection (ring, pins, active set). The
-  /// router mutates under the cluster mutex on every placement and
-  /// topology change; read it only while the cluster is quiescent
-  /// (tests, telemetry after drain()).
-  const ShardRouter& router() const noexcept { return router_; }
 
-  /// The shard a submitted job is currently placed on (throws on unknown
-  /// id); kHeldShard while it is parked in the hold queue.
+  /// The shard a submitted job was dispatched to (throws on unknown id);
+  /// kHeldShard while it is parked in the hold queue, or if the cluster
+  /// rejected it before any shard could be its home.
   u32 shard_of(JobId id) const;
 
   static constexpr u32 kHeldShard = std::numeric_limits<u32>::max();
@@ -405,7 +385,6 @@ class Cluster {
   struct Slot {
     std::shared_ptr<SortService> service;  // null once retired
     SlotState state = SlotState::kActive;
-    u64 in_flight_submits = 0;  // direct submits between unlock/relock
   };
 
   struct Placement {
@@ -414,34 +393,25 @@ class Cluster {
   };
 
   struct HeldJob {
-    JobId id = 0;   // cluster id
-    u32 home = 0;   // placed shard that lacked headroom (re-routed if
-                    // the home is drained before dispatch)
+    JobId id = 0;              // cluster id
+    u32 home = kHeldShard;     // placement rule's pick; kHeldShard until
+                               // the first pump, re-homed if drained
+    bool parked = false;       // outlived its own submit's pump
     PreparedJob job;
     Clock::time_point t_submit;
     Clock::time_point deadline_abs = Clock::time_point::max();
     std::string park_reason;  // why it parked (introspection + flight ring)
   };
 
-  u32 make_shard_locked_id();
   std::shared_ptr<SortService> make_service(u32 id, ServiceConfig sc);
-  std::vector<ShardLoad> shard_loads() const;
+  bool is_active_locked(u32 id) const;
 
-  struct PlaceResult {
-    u32 shard = 0;
-    bool admissible = false;  // false: no active shard can ever fit it
-    usize carve = 0;          // admission carve on `shard` (0 on reject)
-  };
-  PlaceResult place_locked(const SortJobSpec& spec, usize record_bytes,
-                           u64 n, std::span<const ShardLoad> loads);
-
-  /// Dispatches every held job some active shard has headroom for (in
-  /// queue order; home shard first, else steal to the least-loaded
-  /// fitting shard), and cluster-rejects jobs no active shard can ever
-  /// admit. Called on submit-park, capacity-freed callbacks, add_shard
-  /// and migration.
+  /// Hands held jobs to shards in queue order (see the class comment):
+  /// home if it can start the job now, else the lowest-score active
+  /// shard that can, else the job stays parked; rejects jobs no active
+  /// shard could ever hold. Called on submit, capacity-freed callbacks
+  /// and topology changes.
   void pump_locked();
-  void hold_insert_locked(HeldJob h);
   void on_capacity_freed();
   /// Stores a cluster-held terminal record, FIFO-evicting past
   /// ClusterConfig::retain_cluster_records_max.
@@ -465,7 +435,7 @@ class Cluster {
     std::vector<u32> targets;  // one target shard per range
   };
   /// Registers a distributed job under a fresh cluster id: assigns each
-  /// range a target from the active set (round-robin over actives) and
+  /// range a target from the active set (cycling over actives) and
   /// publishes the ownership that fences those shards against drains.
   /// `trace_id` is the job's jobtrace id; the coordinator thread re-
   /// establishes it as its scope.
@@ -507,13 +477,11 @@ class Cluster {
   // destruction: shard workers may still call on_capacity_freed() (which
   // locks mu_ and observes stopping_) until their service joins them.
   mutable std::mutex mu_;
-  // mutable: info() is a const snapshot but may briefly wait out a
-  // migration race.
-  mutable std::condition_variable place_cv_;
+  std::condition_variable place_cv_;
   std::mutex topo_mu_;                // serializes add_shard/drain_shard
 
   std::vector<Slot> slots_;
-  ShardRouter router_;
+  std::vector<u32> active_;  // active shard ids, ascending
   std::map<JobId, Placement> jobs_;
   /// Cluster-held terminal records: jobs cancelled or rejected out of
   /// the hold queue, and every job of a retired shard. Bounded by
@@ -547,14 +515,12 @@ class Cluster {
   JobId next_id_ = 1;
   bool stopping_ = false;
   std::vector<u64> jobs_per_shard_;
-  u64 spilled_ = 0;
   u64 rejected_cluster_wide_ = 0;
   u64 held_total_ = 0;
   u64 held_cancelled_ = 0;
   u64 held_rejected_ = 0;
   u64 held_rejected_deadline_ = 0;  // subset of held_rejected_ (pump check)
   u64 stolen_ = 0;
-  u64 migrated_ = 0;
   u64 shards_added_ = 0;
   u64 shards_drained_ = 0;
   u64 submits_since_prune_ = 0;

@@ -1,6 +1,6 @@
 // Cluster-wide serving metrics: per-shard ServiceStats rolled up into
-// cluster totals, plus the routing-quality figures (placement counts,
-// spills, imbalance) that the cluster benches gate on.
+// cluster totals, plus the placement figures (per-shard job counts,
+// parks, steals, imbalance) that the cluster benches gate on.
 //
 // The exact-sum invariant composes across the layers: within a shard,
 // per-job IoStats deltas sum exactly to that shard's SharedIoTotals
@@ -30,17 +30,17 @@ struct ClusterStats {
   u64 rejected = 0;
   u64 deadline_missed = 0;
   u64 retained = 0;
-  u64 batches_run = 0;
+  u64 batches_run = 0;  // worker tasks run (one job each)
 
-  /// Routing outcomes (counted by the cluster, not the shards): jobs
-  /// placed off their preferred shard because its budget could never
-  /// admit them, and jobs no shard could admit (a subset of `rejected`).
-  u64 spilled = 0;
+  /// Jobs the cluster rejected before they reached a shard (no active
+  /// shard's budget could hold them, or the pump's deadline check): a
+  /// subset of `rejected`.
   u64 rejected_cluster_wide = 0;
 
-  /// Hold queue + work stealing: jobs currently parked, jobs that ever
-  /// parked, parked jobs cancelled/rejected before reaching a shard,
-  /// and held jobs dispatched to a shard other than their placed one.
+  /// Hold queue + work stealing: jobs currently parked; jobs that did not
+  /// dispatch during their own submit (they waited in the queue); parked
+  /// jobs cancelled/rejected before reaching a shard; and jobs dispatched
+  /// to a shard other than their home.
   u64 held_now = 0;
   u64 held_total = 0;
   u64 held_cancelled = 0;
@@ -51,11 +51,9 @@ struct ClusterStats {
   u64 held_rejected_deadline = 0;
   u64 stolen = 0;
 
-  /// Elasticity: queued jobs moved off a draining shard, and lifetime
-  /// topology changes. cluster_records counts terminal records held at
-  /// cluster level (retired shards' jobs + hold-queue terminals),
-  /// included in `retained`.
-  u64 migrated = 0;
+  /// Elasticity: lifetime topology changes. cluster_records counts
+  /// terminal records held at cluster level (retired shards' jobs +
+  /// hold-queue terminals), included in `retained`.
   u64 shards_added = 0;
   u64 shards_drained = 0;
   u64 cluster_records = 0;
@@ -86,7 +84,7 @@ struct ClusterStats {
   /// cluster's busy time up to skew in shard start times).
   double jobs_per_sec = 0;
 
-  /// Jobs routed to each shard, and the resulting imbalance ratios
+  /// Jobs dispatched to each shard, and the resulting imbalance ratios
   /// (max/mean; 1.0 = perfectly even, higher = hotter hot shard). I/O
   /// imbalance weighs by blocks moved, so a shard stuck with all the big
   /// jobs shows up even when job counts look even.

@@ -23,7 +23,7 @@ struct ServiceStats {
   u64 cancelled = 0;
   u64 rejected = 0;
   u64 deadline_missed = 0;
-  u64 batches_run = 0;  // worker tasks, counting a coalesced batch once
+  u64 batches_run = 0;  // worker tasks run (one job each)
 
   /// Terminal job records currently held (inspectable via jobs()/info());
   /// evicted counts records dropped by the retention policy (not by an
@@ -61,12 +61,12 @@ struct ServiceStats {
 };
 
 /// Instantaneous load of one service, cheap enough to poll per placement
-/// decision: what a cluster router weighs shards by.
+/// decision: what a cluster weighs shards by.
 struct ShardLoad {
   u32 shard = 0;
   usize queued = 0;          // jobs waiting for a worker
   usize running = 0;         // worker tasks in flight
-  usize reserved_bytes = 0;  // admission reservations currently held
+  usize reserved_bytes = 0;  // carves of running and queued jobs
   usize budget_limit = 0;    // the shard's total memory budget
   usize depth_in_use = 0;    // granted async pipeline depth
   usize cpu_in_use = 0;      // granted kernel threads (CPU arbiter)

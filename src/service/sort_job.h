@@ -5,6 +5,8 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -27,9 +29,6 @@ enum class JobState {
   kFailed,     // threw (infeasible plan, I/O error, budget bug)
   kCancelled,  // cancelled while still queued
   kRejected,   // admission control: can never be staged in this service
-  kMigrated,   // extracted off a draining shard; terminal HERE only — the
-               // owning cluster re-admits the job elsewhere, so a shard-
-               // level waiter seeing kMigrated must re-resolve placement
 };
 
 inline const char* job_state_name(JobState s) {
@@ -40,15 +39,13 @@ inline const char* job_state_name(JobState s) {
     case JobState::kFailed: return "failed";
     case JobState::kCancelled: return "cancelled";
     case JobState::kRejected: return "rejected";
-    case JobState::kMigrated: return "migrated";
   }
   return "?";
 }
 
 inline bool job_state_terminal(JobState s) {
   return s == JobState::kDone || s == JobState::kFailed ||
-         s == JobState::kCancelled || s == JobState::kRejected ||
-         s == JobState::kMigrated;
+         s == JobState::kCancelled || s == JobState::kRejected;
 }
 
 /// What a tenant submits alongside its dataset.
@@ -71,25 +68,25 @@ struct SortJobSpec {
   /// then FIFO); misses are counted in the stats, and with
   /// ServiceConfig::deadline_admission a job whose deadline is already
   /// unmeetable under the planned pass count and queue state is rejected
-  /// at submission.
+  /// at submission. A deadline too far out for the clock (+inf included)
+  /// orders like none; NaN is rejected at submission.
   double deadline_s = 0;
 
   /// Explicit memory carve override in bytes; 0 derives it from
   /// mem_records and the record size (see SortService::admission_carve).
   usize carve_bytes = 0;
 
-  /// Stable routing key for cluster serving: jobs sharing a locality key
-  /// (a tenant id, a dataset name) hash to the same shard under the
-  /// kLocalityHash policy, so repeat tenants land where their plan-cache
-  /// and page-cache state is warm. Empty = no affinity.
+  /// Tenant handle (a tenant id, a dataset name) for the per-tenant
+  /// metrics (`tenant.<key>.*` in the metrics registry). Placement does
+  /// not read it. Empty = no per-tenant accounting.
   std::string locality_key;
 
   /// Hard placement pin for cluster serving: kAnyShard (default) lets the
-  /// router choose; any other value places the job on exactly that shard
-  /// — it may still park in the hold queue until the shard has headroom,
-  /// but it is never spilled or stolen elsewhere. A pinned job whose
-  /// shard can never admit it is rejected cluster-wide; a pin whose
-  /// target has been drained dissolves back to router placement. Used by
+  /// cluster's placement rule choose; any other value makes that shard the
+  /// job's home — it may still park in the hold queue until the shard has
+  /// headroom, but it is never stolen elsewhere. A pinned job whose shard
+  /// can never admit it is rejected cluster-wide; a pin whose target has
+  /// been drained dissolves back to the placement rule. Used by
   /// Cluster::submit_distributed to keep each key range on the shard its
   /// splitter assignment chose.
   static constexpr u32 kAnyShard = 0xffffffffu;
@@ -127,7 +124,6 @@ struct JobInfo {
   double queue_s = 0;     // submit -> start (or cancel)
   double run_s = 0;       // start -> terminal (running: elapsed so far)
   bool deadline_missed = false;
-  bool batched = false;   // ran coalesced with same-type small jobs
   u64 trace_id = 0;         // jobtrace id (0 if flight/trace disabled it)
   u64 parent_trace_id = 0;  // distributed parent, for range sub-jobs
 };
@@ -193,16 +189,43 @@ class PlanCache {
 /// needs to admit, schedule and run it, independent of the record type.
 /// Built by SortService::prepare<R>() (which stages the typed dataset and
 /// comparator inside the closure); consumed by submit_prepared(). This is
-/// the unit of mobility in the cluster: hold-queue parking, work stealing
-/// and drain-time migration all move PreparedJobs between shards without
-/// caring what R is.
+/// the unit of mobility in the cluster: the hold queue parks PreparedJobs
+/// and hands each to whichever shard starts it, without caring what R is.
 struct PreparedJob {
   SortJobSpec spec;
   u64 n = 0;             // records in the dataset
   usize record_bytes = 0;
-  u64 type_key = 0;      // typeid hash, for small-job batching affinity
   std::function<void(struct JobExec&)> run;
 };
+
+/// Throws pdm::Error for every spec/size a service would refuse to queue
+/// (the admission checks that do not depend on a shard's state): both the
+/// service and the cluster call it before accepting a job, so a job the
+/// cluster parks can always be handed to a shard.
+inline void check_job(const SortJobSpec& spec, u64 n) {
+  PDM_CHECK(spec.mem_records > 0, "SortJobSpec.mem_records must be > 0");
+  PDM_CHECK(n > 0, "cannot submit an empty sort job");
+  check_alpha(spec.alpha);
+  // NaN compares false against everything and would scramble EDF order.
+  PDM_CHECK(!std::isnan(spec.deadline_s), "SortJobSpec.deadline_s is NaN");
+}
+
+/// Absolute deadline of a job submitted at `t_submit` with `deadline_s`.
+/// No deadline (<= 0), and one the clock cannot represent (+inf, or
+/// anything within a second of steady_clock's end — the margin absorbs
+/// the double rounding), map to time_point::max(), which orders like no
+/// deadline. Converting those with duration_cast would overflow.
+inline std::chrono::steady_clock::time_point deadline_at(
+    std::chrono::steady_clock::time_point t_submit, double deadline_s) {
+  using Clock = std::chrono::steady_clock;
+  const std::chrono::duration<double> room =
+      Clock::time_point::max() - t_submit;
+  if (!(deadline_s > 0) || deadline_s >= room.count() - 1.0) {
+    return Clock::time_point::max();
+  }
+  return t_submit + std::chrono::duration_cast<Clock::duration>(
+                        std::chrono::duration<double>(deadline_s));
+}
 
 /// Execution environment the service hands to a job's typed closure: the
 /// per-job context (budget carved, async depth granted, stats isolated),

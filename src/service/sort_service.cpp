@@ -33,9 +33,7 @@ struct SortService::Job {
   SortJobSpec spec;
   u64 n = 0;
   usize record_bytes = 0;
-  u64 type_key = 0;
   usize carve_bytes = 0;
-  bool batchable = false;
   std::function<void(JobExec&)> run;
 
   JobState state = JobState::kQueued;
@@ -49,7 +47,6 @@ struct SortService::Job {
   Clock::time_point deadline_abs = Clock::time_point::max();
   double est_run_s = 0;  // model-time estimate (deadline admission only)
   bool deadline_missed = false;
-  bool batched = false;
   // Set by cancel() while kRunning; polled by the sorter at batch
   // boundaries through PdmContext::check_cancelled.
   std::atomic<bool> cancel_flag{false};
@@ -199,25 +196,16 @@ double SortService::deadline_cal() const {
 }
 
 JobId SortService::submit_impl(SortJobSpec spec, u64 n, usize record_bytes,
-                               u64 type_key,
                                std::function<void(JobExec&)> run) {
-  PDM_CHECK(spec.mem_records > 0, "SortJobSpec.mem_records must be > 0");
-  PDM_CHECK(n > 0, "cannot submit an empty sort job");
-  check_alpha(spec.alpha);
+  check_job(spec, n);
   auto job = std::make_shared<Job>();
   job->spec = std::move(spec);
   job->n = n;
   job->record_bytes = record_bytes;
-  job->type_key = type_key;
   job->carve_bytes = admission_carve(job->spec, record_bytes, n);
   job->run = std::move(run);
   job->t_submit = Clock::now();
-  if (job->spec.deadline_s > 0) {
-    job->deadline_abs =
-        job->t_submit + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double>(
-                                job->spec.deadline_s));
-  }
+  job->deadline_abs = deadline_at(job->t_submit, job->spec.deadline_s);
   // Planning for the admission estimate happens before the lock (the plan
   // cache has its own); skipped entirely unless deadline admission is on.
   if (cfg_.deadline_admission) job->est_run_s = estimate_run_s(*job);
@@ -274,8 +262,6 @@ JobId SortService::submit_impl(SortJobSpec spec, u64 n, usize record_bytes,
                     std::to_string(job->spec.deadline_s) + "s");
     }
   }
-  job->batchable =
-      cfg_.small_job_records > 0 && n <= cfg_.small_job_records;
   Job* raw = job.get();
   const auto pos = std::upper_bound(
       pending_.begin(), pending_.end(), raw, [this](const Job* a,
@@ -283,47 +269,13 @@ JobId SortService::submit_impl(SortJobSpec spec, u64 n, usize record_bytes,
         return queue_before(*a, *b);
       });
   pending_.insert(pos, raw);
+  pending_carve_bytes_ += raw->carve_bytes;
   flight.record(raw->spec.trace_id, jobtrace::EventKind::kAdmitted,
                 raw->spec.name.c_str(), cfg_.shard_id);
   jobs_.emplace(id, std::move(job));
   work_cv_.notify_one();
   PDM_TRACE_INSTANT_ARG("service", "job_submitted", "job", id);
   return id;
-}
-
-std::vector<SortService::ExtractedJob> SortService::extract_queued() {
-  std::vector<ExtractedJob> out;
-  std::lock_guard g(mu_);
-  out.reserve(pending_.size());
-  const auto now = Clock::now();
-  for (Job* raw : pending_) {
-    auto it = jobs_.find(raw->id);
-    PDM_ASSERT(it != jobs_.end(), "pending job without a record");
-    std::shared_ptr<Job> job = it->second;
-    ExtractedJob ex;
-    ex.local_id = job->id;
-    ex.t_submit = job->t_submit;
-    ex.job.spec = std::move(job->spec);
-    ex.job.n = job->n;
-    ex.job.record_bytes = job->record_bytes;
-    ex.job.type_key = job->type_key;
-    ex.job.run = std::move(job->run);
-    job->run = {};
-    // kMigrated is terminal only from this shard's point of view: any
-    // waiter (current or future) wakes, sees kMigrated and re-resolves
-    // placement with the cluster. The record stays as a tombstone — not
-    // counted by on_terminal_locked (the job is not done, it is
-    // leaving), zero I/O, dropped with the service at retirement.
-    job->state = JobState::kMigrated;
-    job->t_end = now;
-    // The job un-submits: it re-counts on whichever shard re-admits it,
-    // so cluster-level per-shard sums stay exact.
-    --submitted_;
-    out.push_back(std::move(ex));
-  }
-  pending_.clear();
-  done_cv_.notify_all();
-  return out;
 }
 
 void SortService::set_capacity_callback(std::function<void()> cb) {
@@ -340,8 +292,12 @@ bool SortService::cancel(JobId id) {
   if (job.state == JobState::kQueued) {
     job.state = JobState::kCancelled;
     job.t_end = Clock::now();
-    job.run = {};  // safe: a claimed member is only run while still kQueued
-    std::erase(pending_, &job);
+    job.run = {};
+    // A claimed job is queued but no longer pending: its worker is about
+    // to see the cancellation in run_one.
+    if (std::erase(pending_, &job) != 0) {
+      pending_carve_bytes_ -= job.carve_bytes;
+    }
     jobtrace::FlightRecorder::instance().note_end(
         job.spec.trace_id, jobtrace::EventKind::kCancelled,
         "cancelled while queued", /*bad=*/true, cfg_.shard_id);
@@ -378,12 +334,6 @@ bool SortService::forget(JobId id) {
   if (it == jobs_.end() || !job_state_terminal(it->second->state)) {
     return false;
   }
-  if (it->second->state == JobState::kMigrated) {
-    // Migration tombstone: not a retained record (never counted by
-    // on_terminal_locked) — it belongs to the drain machinery, not to
-    // the caller.
-    return false;
-  }
   jobs_.erase(it);
   --retained_;
   return true;
@@ -414,10 +364,9 @@ JobInfo SortService::snapshot_locked(const Job& job) const {
   out.report = job.report;
   out.io = job.io;
   out.deadline_missed = job.deadline_missed;
-  out.batched = job.batched;
   out.trace_id = job.spec.trace_id;
   out.parent_trace_id = job.spec.parent_trace_id;
-  // A job failed by run_claim's catch never started; t_start is the
+  // A job failed by run_task's catch never started; t_start is the
   // ground truth, not the state.
   const bool started = job.t_start != Clock::time_point{};
   if (started) {
@@ -546,7 +495,7 @@ ShardLoad SortService::load() const {
   l.shard = cfg_.shard_id;
   l.queued = pending_.size();
   l.running = active_tasks_;
-  l.reserved_bytes = budget_.current();
+  l.reserved_bytes = budget_.current() + pending_carve_bytes_;
   l.budget_limit = budget_.limit();
   l.depth_in_use = depth_in_use_;
   l.cpu_in_use = cpu_in_use_;
@@ -555,40 +504,17 @@ ShardLoad SortService::load() const {
   return l;
 }
 
-SortService::Claim SortService::try_claim_locked() {
-  for (usize i = 0; i < pending_.size(); ++i) {
-    Job* head = pending_[i];
-    Claim claim;
-    claim.members.push_back(jobs_.at(head->id));
-    claim.carve = head->carve_bytes;
-    if (head->batchable) {
-      for (usize k = i + 1;
-           k < pending_.size() && claim.members.size() < kBatchMax;
-           ++k) {
-        Job* other = pending_[k];
-        if (other->batchable && other->type_key == head->type_key) {
-          claim.members.push_back(jobs_.at(other->id));
-          // Members run sequentially over one context, so the batch needs
-          // only the largest member's carve at any moment.
-          claim.carve = std::max(claim.carve, other->carve_bytes);
-        }
-      }
-    }
+std::shared_ptr<SortService::Job> SortService::try_claim_locked() {
+  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+    Job* job = *it;
     // Backfill: if the head of the queue cannot reserve memory right now,
     // a smaller job further back may still be admittable.
-    if (!budget_.try_acquire(claim.carve)) continue;
-    if (claim.members.size() > 1) {
-      for (auto& j : claim.members) j->batched = true;
-    }
-    std::erase_if(pending_, [&](Job* j) {
-      return std::any_of(claim.members.begin(), claim.members.end(),
-                         [&](const std::shared_ptr<Job>& m) {
-                           return m.get() == j;
-                         });
-    });
-    return claim;
+    if (!budget_.try_acquire(job->carve_bytes)) continue;
+    pending_.erase(it);
+    pending_carve_bytes_ -= job->carve_bytes;
+    return jobs_.at(job->id);
   }
-  return {};
+  return nullptr;
 }
 
 usize SortService::grant_depth_locked() {
@@ -665,8 +591,8 @@ void SortService::worker_loop() {
   trace::TraceLog::instance().set_thread_name("svc-worker");
   std::unique_lock lock(mu_);
   for (;;) {
-    Claim claim = try_claim_locked();
-    if (claim.members.empty()) {
+    std::shared_ptr<Job> job = try_claim_locked();
+    if (job == nullptr) {
       if (stop_ && pending_.empty()) return;
       work_cv_.wait(lock);
       continue;
@@ -677,10 +603,11 @@ void SortService::worker_loop() {
     ++batches_run_;
     lock.unlock();
 
-    // run_claim returns the grants (and re-grants the freed budget to the
+    // run_task returns the grants (and re-grants the freed budget to the
     // survivors) itself, before its context is destroyed.
-    run_claim(claim, depth, cpu);
-    budget_.release(claim.carve);
+    run_task(*job, depth, cpu);
+    budget_.release(job->carve_bytes);
+    job.reset();
 
     lock.lock();
     --active_tasks_;
@@ -698,10 +625,8 @@ void SortService::worker_loop() {
   }
 }
 
-void SortService::run_claim(Claim& claim, usize depth, usize cpu) {
-  trace::TraceSpan trace_span("service", "batch_execute", "jobs",
-                              claim.members.size());
-  // Returns this claim's grants exactly once, on every exit path, and
+void SortService::run_task(Job& job, usize depth, usize cpu) {
+  // Returns this task's grants exactly once, on every exit path, and
   // BEFORE the context dies (regrant_locked must never see a dangling
   // ctx). The re-grant happens here rather than in worker_loop so freed
   // threads/depth reach long-running neighbours immediately. The grants
@@ -726,8 +651,8 @@ void SortService::run_claim(Claim& claim, usize depth, usize cpu) {
     regrant_locked();
   };
   try {
-    PdmContext ctx(backend_, alloc_, claim.carve, cfg_.cost,
-                   cfg_.seed + claim.members.front()->id, &io_totals_);
+    PdmContext ctx(backend_, alloc_, job.carve_bytes, cfg_.cost,
+                   cfg_.seed + job.id, &io_totals_);
     if (depth >= 2) ctx.set_async_depth(depth);
     if (cpu >= 2) ctx.set_cpu_budget(cpu);
     {
@@ -736,7 +661,7 @@ void SortService::run_claim(Claim& claim, usize depth, usize cpu) {
       update_cpu_gauges_locked();
     }
     try {
-      for (auto& j : claim.members) run_one(*j, ctx);
+      run_one(job, ctx);
     } catch (...) {
       release_grants(&ctx);
       throw;
@@ -744,17 +669,15 @@ void SortService::run_claim(Claim& claim, usize depth, usize cpu) {
     release_grants(&ctx);
   } catch (const std::exception& e) {
     release_grants(nullptr);  // no-op unless PdmContext setup itself threw
-    // Context setup or teardown failed: every member that has not reached
-    // a terminal state goes down with it.
-    const auto now = Clock::now();
+    // Context setup or teardown failed: the job goes down with it unless
+    // it already reached a terminal state.
     std::lock_guard g(mu_);
-    for (auto& j : claim.members) {
-      if (job_state_terminal(j->state)) continue;
-      j->state = JobState::kFailed;
-      j->error = e.what();
-      j->t_end = now;
-      j->run = {};
-      on_terminal_locked(*j);
+    if (!job_state_terminal(job.state)) {
+      job.state = JobState::kFailed;
+      job.error = e.what();
+      job.t_end = Clock::now();
+      job.run = {};
+      on_terminal_locked(job);
     }
     done_cv_.notify_all();
   }
@@ -794,8 +717,8 @@ void SortService::run_one(Job& job, PdmContext& ctx) {
         queued_ns, "job", job.id);
   }
   trace::TraceSpan trace_span("service", "job_run", "job", job.id);
-  // This member's cooperative cancellation flag; cleared before the
-  // (batch-shared) context moves on to the next member.
+  // The job's cooperative cancellation flag, cleared before the context
+  // is torn down.
   ctx.set_cancel_flag(&job.cancel_flag);
   // Bound write-behind staging to ~M bytes per slab so a bulk write of
   // the whole dataset cannot blow the job's carve; oversized batches run

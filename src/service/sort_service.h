@@ -24,15 +24,16 @@
 //    prefetch/write-behind buffering across active jobs never exceeds
 //    the service's I/O budget (jobs that cannot get a depth >= 2 run
 //    synchronously);
-//  - batching: small jobs sharing a record type coalesce into one worker
-//    task over one context;
 //  - retention: terminal job records are bounded (count and/or TTL), and
 //    the aggregate stats are maintained incrementally so a long-lived
 //    service neither grows without bound nor pays O(jobs) per stats();
 //  - observability: ServiceStats aggregates counters, queue latency
 //    percentiles, throughput and live service-wide IoStats that per-job
 //    deltas sum to exactly; ShardLoad is the cheap instantaneous load
-//    snapshot a cluster router places by.
+//    snapshot a cluster places by. Its reservations include the carves of
+//    jobs accepted but not yet started, so a cluster that only hands a
+//    shard jobs passing ShardLoad::fits_now never queues one there that
+//    the shard cannot start at once.
 #pragma once
 
 #include <chrono>
@@ -43,7 +44,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <typeinfo>
 #include <vector>
 
 #include "pdm/striped_run.h"
@@ -54,7 +54,7 @@
 namespace pdm {
 
 struct ServiceConfig {
-  /// Concurrent worker threads (= max jobs/batches in flight).
+  /// Concurrent worker threads (= max jobs in flight).
   usize workers = 4;
 
   /// Service-wide memory budget that job carves are reserved from.
@@ -71,10 +71,6 @@ struct ServiceConfig {
   /// default) keeps every job's in-memory work on its worker thread —
   /// the bit-identical legacy serial path.
   usize cpu_threads_total = 1;
-
-  /// Jobs with n <= this coalesce with same-record-type jobs (at most
-  /// SortService::kBatchMax) into one worker task (0 disables batching).
-  u64 small_job_records = 0;
 
   /// Identifies this service within a cluster (stamped into JobInfo and
   /// ServiceStats; shard 0 = standalone).
@@ -118,9 +114,6 @@ class SortService {
   /// SortJobSpec::carve_bytes overrides both.
   static constexpr double kMemSlack = 6.0;
 
-  /// Max small jobs coalesced into one batch.
-  static constexpr usize kBatchMax = 8;
-
   /// Co-owns `backend`; the service's allocator and I/O totals are sized
   /// to its geometry. Workers start immediately.
   explicit SortService(std::shared_ptr<DiskBackend> backend,
@@ -136,8 +129,8 @@ class SortService {
   /// admitting it anywhere: the dataset and comparator move into the run
   /// closure (freed as soon as the job has staged the data onto whatever
   /// shard's disks eventually run it). This is the mobile form the
-  /// cluster parks in its hold queue and migrates between shards; feed it
-  /// to submit_prepared() to admit it.
+  /// cluster parks in its hold queue; feed it to submit_prepared() to
+  /// admit it.
   template <Record R, class Cmp = std::less<R>>
   static PreparedJob prepare(
       SortJobSpec spec, std::vector<R> data, Cmp cmp = {},
@@ -145,7 +138,6 @@ class SortService {
     PreparedJob job;
     job.n = data.size();
     job.record_bytes = sizeof(R);
-    job.type_key = typeid(R).hash_code();
     auto payload = std::make_shared<std::vector<R>>(std::move(data));
     job.run = [payload, cmp, cb = std::move(on_complete),
                order_adaptive = spec.order_adaptive](JobExec& ex) {
@@ -194,28 +186,8 @@ class SortService {
   /// Admits a prepared job (see prepare()); same contract as submit().
   JobId submit_prepared(PreparedJob job) {
     return submit_impl(std::move(job.spec), job.n, job.record_bytes,
-                       job.type_key, std::move(job.run));
+                       std::move(job.run));
   }
-
-  /// A still-queued job pulled back out of the service for migration,
-  /// with the local id it held here and its original submission time
-  /// (so the receiving shard can preserve wall-clock deadline
-  /// semantics).
-  struct ExtractedJob {
-    JobId local_id = 0;
-    PreparedJob job;
-    std::chrono::steady_clock::time_point t_submit;
-  };
-
-  /// Drain support: removes EVERY still-queued job (claimed and running
-  /// ones are untouched — they finish here) and returns them in queue
-  /// order as re-submittable PreparedJobs. Each extracted job's record
-  /// goes JobState::kMigrated and is dropped from this service — waiters
-  /// blocked on it wake with kMigrated and must re-resolve the job's
-  /// placement with the owning cluster. The shard's `submitted` lifetime
-  /// counter is decremented per extracted job (the job re-counts on
-  /// whichever shard re-admits it), keeping cluster-level sums exact.
-  std::vector<ExtractedJob> extract_queued();
 
   /// Hook invoked (on a worker thread, outside the service mutex) each
   /// time a finished task frees memory, a worker slot and pipeline
@@ -224,9 +196,8 @@ class SortService {
   /// into wait()/drain() of this service.
   void set_capacity_callback(std::function<void()> cb);
 
-  /// Cancels a job. Queued jobs (including claimed-but-not-yet-started
-  /// batch members) go terminal immediately; running jobs get their
-  /// cooperative flag set and stop at the next batch boundary. Returns
+  /// Cancels a job. Queued jobs go terminal immediately; running jobs get
+  /// their cooperative flag set and stop at the next batch boundary. Returns
   /// true iff the job will reach JobState::kCancelled — for a running job
   /// the sort may already be past its last checkpoint, in which case the
   /// finished work is discarded and the job still reports kCancelled
@@ -267,7 +238,9 @@ class SortService {
   /// Per-job snapshots of every retained job, in submission order.
   std::vector<JobInfo> jobs() const;
 
-  /// Instantaneous load (one mutex acquisition) for routing decisions.
+  /// Instantaneous load (one mutex acquisition) for placement decisions.
+  /// reserved_bytes counts the carves of queued jobs too: they are spoken
+  /// for even though no worker has reserved them yet.
   ShardLoad load() const;
 
   /// The memory carve this service would require of `spec` at admission:
@@ -276,7 +249,7 @@ class SortService {
   /// shape's plan is cached, else the conservative kMemSlack. A carve
   /// that overflows saturates at the largest usize. A carve above
   /// budget().limit() means the job would be rejected — the cluster
-  /// router spills such jobs to a shard where they fit.
+  /// places such jobs on a shard where they fit.
   usize admission_carve(const SortJobSpec& spec, usize record_bytes,
                         u64 n = 0) const;
 
@@ -299,18 +272,16 @@ class SortService {
 
  private:
   struct Job;
-  struct Claim {
-    // shared_ptr: a member that goes terminal mid-batch may be evicted by
-    // the retention policy while the batch still runs.
-    std::vector<std::shared_ptr<Job>> members;
-    usize carve = 0;
-  };
   using Clock = std::chrono::steady_clock;
 
-  JobId submit_impl(SortJobSpec spec, u64 n, usize record_bytes, u64 type_key,
+  JobId submit_impl(SortJobSpec spec, u64 n, usize record_bytes,
                     std::function<void(JobExec&)> run);
   void worker_loop();
-  Claim try_claim_locked();
+  /// The first queued job whose carve the budget can reserve now (the
+  /// head, or a smaller one behind it: backfill), reserved and dequeued;
+  /// null if none. shared_ptr: the retention policy may evict the record
+  /// of a job that goes terminal while its worker still holds it.
+  std::shared_ptr<Job> try_claim_locked();
   usize grant_depth_locked();
   usize grant_cpu_locked();
   /// Re-grants freed async depth and CPU threads to still-running jobs
@@ -320,7 +291,9 @@ class SortService {
   /// CPU growth applies at the job's next parallel region.
   void regrant_locked();
   void update_cpu_gauges_locked();
-  void run_claim(Claim& claim, usize depth, usize cpu);
+  /// Runs one claimed job in a fresh context with the granted depth and
+  /// CPU threads; fails the job if the context cannot be set up.
+  void run_task(Job& job, usize depth, usize cpu);
   void run_one(Job& job, PdmContext& ctx);
   JobInfo snapshot_locked(const Job& job) const;
   bool queue_before(const Job& a, const Job& b) const;
@@ -345,13 +318,14 @@ class SortService {
   // shared_ptr so a wait()er survives a concurrent forget()/eviction.
   std::map<JobId, std::shared_ptr<Job>> jobs_;  // id order = submit order
   std::vector<Job*> pending_;  // sorted: priority desc, EDF, id asc
+  usize pending_carve_bytes_ = 0;  // sum of pending_ jobs' carves
   JobId next_id_ = 1;
   bool stop_ = false;
   usize active_tasks_ = 0;
   usize depth_in_use_ = 0;
   usize cpu_in_use_ = 0;
   /// Running tasks' contexts with their current grants, registered for
-  /// the lifetime of run_claim so regrant_locked can top them up. The
+  /// the lifetime of run_task so regrant_locked can top them up. The
   /// context outlives its entry (deregistered under mu_ before
   /// destruction).
   struct ActiveGrant {

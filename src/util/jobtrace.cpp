@@ -58,7 +58,6 @@ const char* event_kind_name(EventKind k) {
     case EventKind::kParked: return "parked";
     case EventKind::kDispatched: return "dispatched";
     case EventKind::kStolen: return "stolen";
-    case EventKind::kMigrated: return "migrated";
     case EventKind::kStarted: return "started";
     case EventKind::kPhase: return "phase";
     case EventKind::kFinished: return "finished";

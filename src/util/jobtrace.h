@@ -11,7 +11,7 @@
 //
 // The FlightRecorder is the always-on half: a small per-job ring of the
 // job's last K lifecycle events (admitted, parked, dispatched, stolen,
-// migrated, started, phase, finished...), kept even when the full tracer
+// started, phase, finished...), kept even when the full tracer
 // is disabled or compiled out (-DPDMSORT_TRACING=OFF), and dumped as
 // structured text/JSON when a job ends badly (kFailed / kCancelled /
 // deadline-missed) or on demand. Rings are bounded two ways: K events per
@@ -75,7 +75,6 @@ enum class EventKind : std::uint8_t {
   kParked,        // entered the cluster hold queue (detail = park reason)
   kDispatched,    // left the hold queue for a shard (arg0 = shard)
   kStolen,        // dispatched off-home (arg0 = home, arg1 = target)
-  kMigrated,      // extracted off a draining shard (arg0 = shard)
   kStarted,       // began executing on a worker (arg0 = shard)
   kPhase,         // sorter phase transition (detail = phase name)
   kFinished,      // terminal (detail = final state name)

@@ -1,16 +1,21 @@
-// pdm::Cluster: sharded multi-context serving behind a load/locality-
-// aware router. Covers the three placement policies, overflow spill to a
-// shard with room, cluster-global job handles, and — under a concurrent
-// mixed workload — the two-level exact-sum accounting invariant: per-job
-// IoStats deltas sum to their shard's totals, and per-shard totals sum to
-// the ClusterStats totals. The whole file must be TSan-clean (CI runs it
-// under -fsanitize=thread).
+// pdm::Cluster: sharded multi-context serving under one dispatch path and
+// one placement rule. Covers where a job lands (its home if the home can
+// start it now, else the lowest-score shard that can), a job only a big
+// shard can hold, the no-local-backlog invariant under concurrent
+// submitters, deadline ordering in the hold queue, cluster-global job
+// handles, and — under a concurrent mixed workload — the two-level
+// exact-sum accounting invariant: per-job IoStats deltas sum to their
+// shard's totals, and per-shard totals sum to the ClusterStats totals.
+// The whole file must be TSan-clean (CI runs it under -fsanitize=thread).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <future>
+#include <limits>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,15 +42,25 @@ SortJobSpec spec_of(std::string name, std::string locality_key = "",
   return s;
 }
 
-/// A locality key routing to `shard` on the cluster's consistent-hash
-/// ring (placement is ring-based since the elastic cluster, not modulo).
-std::string key_for_shard(const Cluster& cluster, u32 shard,
-                          std::string seed) {
-  std::string key = seed;
-  while (cluster.router().ring().route(locality_hash(key)) != shard) {
-    key += seed;
-  }
-  return key;
+/// Submits a job pinned to `shard` with the given memory carve (0 = the
+/// default) that holds its worker (in the completion callback) until
+/// `release` is set, and blocks until it is running: held jobs make shard
+/// loads exact and stable while a test places other jobs against them.
+JobId hold_shard(Cluster& cluster, u32 shard, usize carve_bytes,
+                 std::shared_future<void> release, Rng& rng) {
+  SortJobSpec s = spec_of("held-" + std::to_string(shard));
+  s.target_shard = shard;
+  s.carve_bytes = carve_bytes;
+  auto started = std::make_shared<std::promise<void>>();
+  auto f = started->get_future();
+  const JobId id = cluster.submit<u64>(
+      s, make_keys(kMem, Dist::kUniform, rng), std::less<u64>{},
+      [started, release](const SortResult<u64>&) {
+        started->set_value();
+        release.wait();
+      });
+  f.wait();
+  return id;
 }
 
 JobId submit_verified(Cluster& cluster, SortJobSpec spec,
@@ -65,121 +80,70 @@ JobId submit_verified(Cluster& cluster, SortJobSpec spec,
       });
 }
 
-TEST(Cluster, RoundRobinSpreadsEvenly)
+TEST(Cluster, LandsOnLowestScoreShardThatCanStartIt)
 {
+  // Heterogeneous worker pools make "lowest score" and "can start it now"
+  // disagree: shard 0 (1 worker) reads least loaded but is full.
   ClusterConfig cfg;
-  cfg.shards = 4;
-  cfg.policy = RoutePolicy::kRoundRobin;
-  cfg.shard.workers = 1;
-  // Policy behavior in isolation: no hold-queue stealing, so every job
-  // stays on its round-robin shard however busy it is (with 1 worker a
-  // shard's later jobs park, and an idle neighbour finishing out of
-  // order would otherwise steal them and skew the spread).
-  cfg.hold_queue = false;
+  cfg.shards = 3;
+  cfg.shard_configs.resize(3, cfg.shard);
+  cfg.shard_configs[0].workers = 1;
+  cfg.shard_configs[1].workers = 3;
+  cfg.shard_configs[2].workers = 3;
   Cluster cluster(memory_backend_factory(kDisksPerShard, kBlockBytes), cfg);
   Rng rng(1);
-  std::atomic<int> ok{0}, bad{0};
-  std::vector<JobId> ids;
-  for (int i = 0; i < 12; ++i) {
-    ids.push_back(submit_verified(
-        cluster, spec_of("rr" + std::to_string(i)),
-        make_keys(2 * kMem, Dist::kPermutation, rng), ok, bad));
-  }
-  cluster.drain();
-  for (JobId id : ids) EXPECT_EQ(cluster.wait(id).state, JobState::kDone);
-  EXPECT_EQ(ok.load(), 12);
-  EXPECT_EQ(bad.load(), 0);
-  const ClusterStats st = cluster.stats();
-  EXPECT_EQ(st.completed, 12u);
-  ASSERT_EQ(st.jobs_per_shard.size(), 4u);
-  for (u64 per : st.jobs_per_shard) EXPECT_EQ(per, 3u);
-  EXPECT_DOUBLE_EQ(st.job_imbalance, 1.0);
-  EXPECT_EQ(st.spilled, 0u);
-}
+  // Idle cluster: every score is 0, ties go to the lowest shard id.
+  const JobId first = cluster.submit<u64>(
+      spec_of("first"), make_keys(kMem, Dist::kUniform, rng));
+  EXPECT_EQ(cluster.shard_of(first), 0u);
+  EXPECT_EQ(cluster.wait(first).state, JobState::kDone);
 
-TEST(Cluster, LocalityHashIsStable)
-{
-  ClusterConfig cfg;
-  cfg.shards = 4;
-  cfg.policy = RoutePolicy::kLocalityHash;
-  cfg.shard.workers = 1;
-  // Policy behavior in isolation: no hold-queue stealing, so every job
-  // stays on its hash-placed shard however busy it is.
-  cfg.hold_queue = false;
-  Cluster cluster(memory_backend_factory(kDisksPerShard, kBlockBytes), cfg);
-  Rng rng(2);
-  std::vector<JobId> tenant_a;
-  std::vector<JobId> tenant_b;
-  for (int i = 0; i < 5; ++i) {
-    tenant_a.push_back(cluster.submit<u64>(
-        spec_of("a" + std::to_string(i), "tenant-a"),
-        make_keys(2 * kMem, Dist::kUniform, rng)));
-    tenant_b.push_back(cluster.submit<u64>(
-        spec_of("b" + std::to_string(i), "tenant-b"),
-        make_keys(2 * kMem, Dist::kUniform, rng)));
+  // Scores: shard 0 = 1 task, shard 1 = 2 tasks, shard 2 = 2 tasks plus
+  // half its budget reserved.
+  const usize half = cluster.shard(2).budget().limit() / 2;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  hold_shard(cluster, 0, 0, released, rng);
+  hold_shard(cluster, 1, 0, released, rng);
+  hold_shard(cluster, 1, 0, released, rng);
+  hold_shard(cluster, 2, 0, released, rng);
+  hold_shard(cluster, 2, half, released, rng);
+  const ClusterStats before = cluster.stats();
+  // Home is shard 0 (lowest score) but it has no free worker: the job
+  // goes to the lowest-score shard that can start it — shard 1.
+  const JobId a = cluster.submit<u64>(spec_of("a"),
+                                      make_keys(kMem, Dist::kUniform, rng));
+  EXPECT_EQ(cluster.shard_of(a), 1u);
+  // Shard 1 is now full too: the next one goes to shard 2.
+  const JobId b = cluster.submit<u64>(spec_of("b"),
+                                      make_keys(kMem, Dist::kUniform, rng));
+  EXPECT_EQ(cluster.shard_of(b), 2u);
+  // Nobody can start a third: it parks instead of queueing on a shard.
+  const JobId c = cluster.submit<u64>(spec_of("c"),
+                                      make_keys(kMem, Dist::kUniform, rng));
+  EXPECT_EQ(cluster.shard_of(c), Cluster::kHeldShard);
+  ClusterStats st = cluster.stats();
+  EXPECT_EQ(st.stolen - before.stolen, 2u);  // a and b ran off their home
+  EXPECT_EQ(st.held_now, 1u);
+  EXPECT_EQ(st.held_total - before.held_total, 1u);
+  for (usize s = 0; s < 3; ++s) {
+    const ShardLoad l = cluster.shard(s).load();
+    EXPECT_LE(l.queued + l.running, l.workers) << "shard " << s;
   }
+  release.set_value();
   cluster.drain();
-  // Every job of a tenant landed on that tenant's (ring-stable) shard.
-  const u32 shard_a =
-      cluster.router().ring().route(locality_hash("tenant-a"));
-  const u32 shard_b =
-      cluster.router().ring().route(locality_hash("tenant-b"));
-  for (JobId id : tenant_a) {
-    EXPECT_EQ(cluster.shard_of(id), shard_a);
-    EXPECT_EQ(cluster.info(id).shard, shard_a);
+  for (JobId id : {a, b, c}) {
     EXPECT_EQ(cluster.wait(id).state, JobState::kDone);
   }
-  for (JobId id : tenant_b) EXPECT_EQ(cluster.shard_of(id), shard_b);
-  // Repeat tenants share plan-cache state: one miss per distinct shape on
-  // the tenant's shard, the rest hits.
-  const ServiceStats sa = cluster.shard(shard_a).stats();
-  EXPECT_GE(sa.plan_cache_hits + sa.plan_cache_misses, 5u);
-  EXPECT_LE(sa.plan_cache_misses, 2u);
+  st = cluster.stats();
+  EXPECT_EQ(st.completed, 9u);
+  EXPECT_EQ(st.held_now, 0u);
 }
 
-TEST(Cluster, LeastLoadedAvoidsBusyShard)
+TEST(Cluster, BigShardTakesJobOnlyItCanHold)
 {
   ClusterConfig cfg;
   cfg.shards = 2;
-  cfg.policy = RoutePolicy::kLeastLoaded;
-  cfg.shard.workers = 1;
-  Cluster cluster(memory_backend_factory(kDisksPerShard, kBlockBytes, 50),
-                  cfg);
-  Rng rng(3);
-  // Pin shard 0 with a long, memory-heavy job submitted directly to it
-  // (bypassing the router and its placement counters): its queue depth
-  // plus reserved-memory fraction keeps shard 0's load score high.
-  SortJobSpec pin_spec = spec_of("pin");
-  pin_spec.carve_bytes = cluster.shard(0).budget().limit() / 2;
-  const JobId pin = cluster.shard(0).submit<u64>(
-      pin_spec, make_keys(64 * kMem, Dist::kPermutation, rng));
-  while (cluster.shard(0).info(pin).state == JobState::kQueued) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  // Power-of-two-choices over 2 shards compares both every time: while
-  // shard 0 is busy, traffic routes to shard 1. Spaced submissions let
-  // shard 1 drain between placements so its own queue does not (rightly)
-  // tip the balance back.
-  std::vector<JobId> ids;
-  for (int i = 0; i < 6; ++i) {
-    ids.push_back(cluster.submit<u64>(
-        spec_of("ll" + std::to_string(i)),
-        make_keys(kMem, Dist::kUniform, rng)));
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  for (JobId id : ids) EXPECT_EQ(cluster.wait(id).state, JobState::kDone);
-  EXPECT_EQ(cluster.shard(0).wait(pin).state, JobState::kDone);
-  const ClusterStats st = cluster.stats();
-  ASSERT_EQ(st.jobs_per_shard.size(), 2u);
-  EXPECT_LE(st.jobs_per_shard[0], 1u);
-  EXPECT_GE(st.jobs_per_shard[1], 5u);
-}
-
-TEST(Cluster, SpillsToShardWithRoomBeforeRejecting)
-{
-  ClusterConfig cfg;
-  cfg.shards = 2;
-  cfg.policy = RoutePolicy::kLocalityHash;
   // Heterogeneous shards: shard 0 is memory-starved, shard 1 roomy.
   cfg.shard_configs.resize(2, cfg.shard);
   cfg.shard_configs[0].workers = 1;
@@ -187,38 +151,143 @@ TEST(Cluster, SpillsToShardWithRoomBeforeRejecting)
   cfg.shard_configs[1].workers = 1;
   cfg.shard_configs[1].total_memory_bytes = usize{64} << 20;
   Cluster cluster(memory_backend_factory(kDisksPerShard, kBlockBytes), cfg);
-  // A locality key that prefers the starved shard.
-  const std::string key = key_for_shard(cluster, 0, "k");
   Rng rng(4);
-  // Carve = 6 * 32Ki * 8B = 1.5 MiB: over shard 0's budget, fine on 1.
-  SortJobSpec big = spec_of("big", key);
+  // Carve = 6 * 32Ki * 8B = 1.5 MiB: over shard 0's whole budget, fine
+  // on shard 1. Shard 0 is idle and lowest-id, yet only shard 1 can ever
+  // hold the job, so that is its home.
+  SortJobSpec big = spec_of("big");
   big.mem_records = u64{32} << 10;
-  const JobId spilled =
+  const JobId big_id =
       cluster.submit<u64>(big, make_keys(kMem, Dist::kUniform, rng));
-  // Small jobs with the same key still land on their preferred shard.
-  const JobId small =
-      cluster.submit<u64>(spec_of("small", key),
-                          make_keys(kMem, Dist::kUniform, rng));
-  // A job no shard can admit is rejected cluster-wide, with the record on
-  // the preferred shard.
-  SortJobSpec huge = spec_of("huge", key);
+  EXPECT_EQ(cluster.shard_of(big_id), 1u);
+  // A small job fits both; shard 0 is idle, so it lands there.
+  const JobId small = cluster.submit<u64>(
+      spec_of("small"), make_keys(kMem, Dist::kUniform, rng));
+  EXPECT_EQ(cluster.shard_of(small), 0u);
+  // A job no shard can hold is rejected cluster-side, never placed.
+  SortJobSpec huge = spec_of("huge");
   huge.mem_records = u64{1} << 26;  // carve ~3 GiB
   const JobId rejected =
       cluster.submit<u64>(huge, make_keys(kMem, Dist::kUniform, rng));
   cluster.drain();
 
-  EXPECT_EQ(cluster.shard_of(spilled), 1u);
-  EXPECT_EQ(cluster.wait(spilled).state, JobState::kDone);
-  EXPECT_EQ(cluster.shard_of(small), 0u);
+  EXPECT_EQ(cluster.wait(big_id).state, JobState::kDone);
   EXPECT_EQ(cluster.wait(small).state, JobState::kDone);
-  EXPECT_EQ(cluster.shard_of(rejected), 0u);
+  EXPECT_EQ(cluster.shard_of(rejected), Cluster::kHeldShard);
   const JobInfo rj = cluster.wait(rejected);
   EXPECT_EQ(rj.state, JobState::kRejected);
   EXPECT_NE(rj.error.find("admission control"), std::string::npos);
   const ClusterStats st = cluster.stats();
-  EXPECT_EQ(st.spilled, 1u);
   EXPECT_EQ(st.rejected_cluster_wide, 1u);
   EXPECT_EQ(st.rejected, 1u);
+  EXPECT_EQ(st.submitted, 3u);
+  EXPECT_EQ(st.stolen, 0u);
+}
+
+TEST(Cluster, ShardsNeverQueueJobsTheyCannotStart)
+{
+  // The pump only hands a shard a job it can start at once, and a
+  // shard's load counts the carves of jobs it accepted but has not yet
+  // started: under concurrent submitters, no shard ever holds more
+  // accepted jobs than free workers, or more reservations than budget.
+  ClusterConfig cfg;
+  cfg.shards = 3;
+  cfg.shard.workers = 2;
+  cfg.shard.total_memory_bytes = usize{2} << 20;  // ~5 default carves
+  Cluster cluster(memory_backend_factory(kDisksPerShard, kBlockBytes, 20),
+                  cfg);
+  std::atomic<bool> done{false};
+  std::atomic<u64> samples{0};
+  std::atomic<int> violations{0};
+  std::thread monitor([&] {
+    while (!done.load()) {
+      for (usize s = 0; s < 3; ++s) {
+        const ShardLoad l = cluster.shard(s).load();
+        if (l.queued + l.running > l.workers ||
+            l.reserved_bytes > l.budget_limit) {
+          ++violations;
+        }
+      }
+      ++samples;
+    }
+  });
+  std::atomic<int> ok{0}, bad{0};
+  std::vector<std::thread> submitters;
+  std::mutex ids_mu;
+  std::vector<JobId> ids;
+  for (int t = 0; t < 3; ++t) {
+    submitters.emplace_back([&, t] {
+      Rng rng(50 + static_cast<u64>(t));
+      for (int j = 0; j < 12; ++j) {
+        SortJobSpec s = spec_of("t" + std::to_string(t) + "-" +
+                                std::to_string(j));
+        // Mixed carves: some jobs take a third of a shard's budget.
+        if (j % 4 == 0) s.carve_bytes = cfg.shard.total_memory_bytes / 3;
+        const JobId id = submit_verified(
+            cluster, s,
+            make_keys((1 + static_cast<usize>(j) % 3) * kMem,
+                      Dist::kPermutation, rng),
+            ok, bad);
+        std::lock_guard g(ids_mu);
+        ids.push_back(id);
+      }
+    });
+  }
+  for (auto& th : submitters) th.join();
+  cluster.drain();
+  done = true;
+  monitor.join();
+  EXPECT_GT(samples.load(), 0u);
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(ok.load(), 36);
+  EXPECT_EQ(bad.load(), 0);
+  for (JobId id : ids) EXPECT_EQ(cluster.wait(id).state, JobState::kDone);
+  const ClusterStats st = cluster.stats();
+  EXPECT_EQ(st.completed, 36u);
+  EXPECT_GT(st.held_total, 0u);  // 6 workers for 36 jobs: some waited
+}
+
+// The hold queue orders by the same deadline conversion as the shards: a
+// deadline too far out for steady_clock (+inf, 1e12 s) orders like none,
+// behind the 10 s job; NaN is refused at submission.
+TEST(Cluster, DeadlineBeyondClockRangeOrdersLikeNone)
+{
+  ClusterConfig cfg;
+  cfg.shards = 1;
+  cfg.shard.workers = 1;
+  Cluster cluster(memory_backend_factory(kDisksPerShard, kBlockBytes), cfg);
+  Rng rng(12);
+  std::promise<void> release;
+  hold_shard(cluster, 0, 0, release.get_future().share(), rng);
+  std::mutex order_mu;
+  std::vector<std::string> order;
+  const std::vector<std::pair<std::string, double>> jobs = {
+      {"inf", std::numeric_limits<double>::infinity()},
+      {"1e12s", 1e12},
+      {"10s", 10.0}};
+  for (const auto& [name, deadline_s] : jobs) {
+    SortJobSpec s = spec_of(name);
+    s.deadline_s = deadline_s;
+    cluster.submit<u64>(std::move(s), make_keys(kMem, Dist::kUniform, rng),
+                        std::less<u64>{},
+                        [&order, &order_mu, name](const SortResult<u64>&) {
+                          std::lock_guard g(order_mu);
+                          order.push_back(name);
+                        });
+  }
+  SortJobSpec nan_spec = spec_of("nan");
+  nan_spec.deadline_s = std::nan("");
+  EXPECT_THROW(
+      cluster.submit<u64>(nan_spec, make_keys(kMem, Dist::kUniform, rng)),
+      Error);
+  EXPECT_EQ(cluster.stats().held_now, 3u);
+  release.set_value();
+  cluster.drain();
+  ASSERT_EQ(order.size(), 3u);
+  EXPECT_EQ(order[0], "10s");
+  EXPECT_EQ(order[1], "inf");
+  EXPECT_EQ(order[2], "1e12s");
+  EXPECT_EQ(cluster.stats().deadline_missed, 0u);
 }
 
 TEST(Cluster, PassCountsUnchangedByShardCount)
@@ -244,7 +313,6 @@ TEST(Cluster, PassCountsUnchangedByShardCount)
   }
   ClusterConfig cfg;
   cfg.shards = 4;
-  cfg.policy = RoutePolicy::kRoundRobin;
   cfg.shard.workers = 1;
   Cluster cluster(memory_backend_factory(kDisksPerShard, kBlockBytes), cfg);
   std::vector<JobId> ids;
@@ -291,60 +359,10 @@ TEST(Cluster, NonFiniteAlphaIsRejectedBeforePlacement)
                Error);
 }
 
-TEST(Cluster, StickySpillBackPinsRepeatedlySpillingTenant)
-{
-  ClusterConfig cfg;
-  cfg.shards = 2;
-  cfg.policy = RoutePolicy::kLocalityHash;
-  cfg.shard_configs.resize(2, cfg.shard);
-  cfg.shard_configs[0].workers = 1;
-  cfg.shard_configs[0].total_memory_bytes = usize{1} << 20;  // starved
-  cfg.shard_configs[1].workers = 1;
-  cfg.shard_configs[1].total_memory_bytes = usize{64} << 20;  // roomy
-  Cluster cluster(memory_backend_factory(kDisksPerShard, kBlockBytes), cfg);
-  const std::string key = key_for_shard(cluster, 0, "k");
-  Rng rng(9);
-  // Every job of this tenant carves ~1.5 MiB: over shard 0's whole
-  // budget, so its hash-preferred placement always spills.
-  auto big_spec = [&](int i) {
-    SortJobSpec s = spec_of("sticky" + std::to_string(i), key);
-    s.mem_records = u64{32} << 10;
-    return s;
-  };
-  std::vector<JobId> ids;
-  for (int i = 0; i < 5; ++i) {
-    ids.push_back(
-        cluster.submit<u64>(big_spec(i), make_keys(kMem, Dist::kUniform,
-                                                   rng)));
-  }
-  cluster.drain();
-  for (JobId id : ids) {
-    EXPECT_EQ(cluster.shard_of(id), 1u);
-    EXPECT_EQ(cluster.wait(id).state, JobState::kDone);
-  }
-  // The first kSpillPromoteAfter = 3 submissions spill (full rescans);
-  // after promotion the key is pinned to shard 1 and placements stop
-  // counting as spills.
-  const ClusterStats st = cluster.stats();
-  static_assert(ShardRouter::kSpillPromoteAfter == 3);
-  EXPECT_EQ(st.spilled, 3u);
-  ASSERT_TRUE(cluster.router().pinned_shard(key).has_value());
-  EXPECT_EQ(*cluster.router().pinned_shard(key), 1u);
-  // An unrelated tenant whose (small) jobs fit its preferred shard 0 is
-  // unaffected by the pin and never spills.
-  const std::string key0 = key_for_shard(cluster, 0, "a");
-  const JobId other = cluster.submit<u64>(
-      spec_of("other", key0), make_keys(kMem, Dist::kUniform, rng));
-  EXPECT_EQ(cluster.shard_of(other), 0u);
-  EXPECT_EQ(cluster.wait(other).state, JobState::kDone);
-  EXPECT_FALSE(cluster.router().pinned_shard(key0).has_value());
-}
-
 TEST(Cluster, ForgetCleansEvictedMappings)
 {
   ClusterConfig cfg;
   cfg.shards = 2;
-  cfg.policy = RoutePolicy::kRoundRobin;
   cfg.shard.workers = 1;
   cfg.shard.retain_terminal_max = 2;  // shards evict aggressively
   Cluster cluster(memory_backend_factory(kDisksPerShard, kBlockBytes), cfg);
@@ -370,10 +388,8 @@ TEST(Cluster, StressAccountingInvariantAcrossShards)
 {
   ClusterConfig cfg;
   cfg.shards = 4;
-  cfg.policy = RoutePolicy::kLeastLoaded;
   cfg.shard.workers = 2;
   cfg.shard.io_depth_total = 4;
-  cfg.shard.small_job_records = 512;
   cfg.shard.total_memory_bytes = usize{32} << 20;
   Cluster cluster(memory_backend_factory(kDisksPerShard, kBlockBytes, 20),
                   cfg);

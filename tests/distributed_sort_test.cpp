@@ -53,7 +53,6 @@ SortJobSpec spec_of(std::string name, u32 target = SortJobSpec::kAnyShard) {
 ClusterConfig cluster_cfg(usize shards, usize workers = 2) {
   ClusterConfig cfg;
   cfg.shards = shards;
-  cfg.policy = RoutePolicy::kLeastLoaded;
   cfg.shard.workers = workers;
   cfg.shard.io_depth_total = 4;
   return cfg;

@@ -10,7 +10,7 @@
 //    holds admitted -> started -> phase -> finished; a deadline-missed
 //    cluster job's ring holds the full parked -> dispatched -> started ->
 //    deadline_miss -> finished sequence; a stolen job records both shard
-//    ids; a drain-migrated job keeps its trace id across shards.
+//    ids; a held job re-homed off a drained shard keeps its trace id.
 //  - Distributed causal tree: every range sub-job of submit_distributed
 //    carries the parent's trace id, and (tracing builds) the Chrome trace
 //    reconstructs parent -> sub-job -> phase spans by id alone.
@@ -63,21 +63,29 @@ SortJobSpec spec_of(std::string name, std::string locality_key = "",
   return s;
 }
 
-/// A locality key routing to `shard` on the cluster's consistent-hash
-/// ring.
-std::string key_for_shard(const Cluster& cluster, u32 shard,
-                          std::string seed) {
-  std::string key = seed;
-  while (cluster.router().ring().route(locality_hash(key)) != shard) {
-    key += seed;
-  }
-  return key;
+/// Submits a job pinned to `shard` with the given memory carve that holds
+/// its worker (in the completion callback) until `release` is set, and
+/// blocks until it is running.
+JobId hold_shard(Cluster& cluster, u32 shard, usize carve_bytes,
+                 std::shared_future<void> release, Rng& rng) {
+  SortJobSpec s = spec_of("held-" + std::to_string(shard));
+  s.target_shard = shard;
+  s.carve_bytes = carve_bytes;
+  auto started = std::make_shared<std::promise<void>>();
+  auto f = started->get_future();
+  const JobId id = cluster.submit<u64>(
+      s, make_keys(kMem, Dist::kUniform, rng), std::less<u64>{},
+      [started, release](const SortResult<u64>&) {
+        started->set_value();
+        release.wait();
+      });
+  f.wait();
+  return id;
 }
 
 ClusterConfig cluster_cfg(usize shards, usize workers = 1) {
   ClusterConfig cfg;
   cfg.shards = shards;
-  cfg.policy = RoutePolicy::kLeastLoaded;
   cfg.shard.workers = workers;
   cfg.shard.io_depth_total = 4;
   return cfg;
@@ -372,29 +380,31 @@ TEST(JobTraceCluster, DeadlineMissFlightDumpHasFullSequence) {
 
 TEST(JobTraceCluster, StolenJobRecordsBothShardIds) {
   FlightScope scope;
-  ClusterConfig cfg = cluster_cfg(2, 1);
-  cfg.policy = RoutePolicy::kLocalityHash;
   Cluster cluster(
-      memory_backend_factory(kDisksPerShard, kBlockBytes, 200), cfg);
+      memory_backend_factory(kDisksPerShard, kBlockBytes, 0),
+      cluster_cfg(2, 1));
   Rng rng(33);
-  const std::string key0 = key_for_shard(cluster, 0, "z");
-  // Saturate shard 0: a large carve holds most of its budget while a
-  // long job occupies its only worker, so keyed jobs park and shard 1
-  // steals them.
-  SortJobSpec big = spec_of("big", key0);
-  big.carve_bytes = cluster.shard(0).budget().limit() / 2;
-  const JobId big_id = cluster.submit<u64>(
-      big, make_keys(64 * kMem, Dist::kPermutation, rng));
-  while (cluster.info(big_id).state == JobState::kQueued) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
+  // Both shards busy; shard 1 reserves more memory, so shard 0 reads
+  // lighter and is the home of the next job, which parks. Shard 1 frees
+  // first and steals it.
+  std::promise<void> release0;
+  std::promise<void> release1;
+  const usize limit = cluster.shard(0).budget().limit();
+  const JobId held0 =
+      hold_shard(cluster, 0, limit / 2, release0.get_future().share(), rng);
+  const JobId held1 = hold_shard(cluster, 1, limit / 10 * 6,
+                                 release1.get_future().share(), rng);
   const JobId small = cluster.submit<u64>(
-      spec_of("stealme", key0), make_keys(kMem, Dist::kUniform, rng));
-  cluster.drain();
-  EXPECT_EQ(cluster.wait(big_id).state, JobState::kDone);
+      spec_of("stealme"), make_keys(kMem, Dist::kUniform, rng));
+  EXPECT_EQ(cluster.shard_of(small), Cluster::kHeldShard);
+  release1.set_value();
   const JobInfo si = cluster.wait(small);
   EXPECT_EQ(si.state, JobState::kDone);
   EXPECT_EQ(cluster.shard_of(small), 1u);
+  release0.set_value();
+  cluster.drain();
+  EXPECT_EQ(cluster.wait(held0).state, JobState::kDone);
+  EXPECT_EQ(cluster.wait(held1).state, JobState::kDone);
   ASSERT_NE(si.trace_id, 0u);
   const auto evs = jobtrace::FlightRecorder::instance().events(si.trace_id);
   bool found = false;
@@ -408,58 +418,66 @@ TEST(JobTraceCluster, StolenJobRecordsBothShardIds) {
   EXPECT_TRUE(found) << "no kStolen event in the flight ring";
 }
 
-TEST(JobTraceCluster, DrainMigratedJobKeepsTraceId) {
+TEST(JobTraceCluster, HeldJobReHomedOffDrainedShardKeepsTraceId) {
   FlightScope scope;
-  ClusterConfig cfg = cluster_cfg(2, 1);
-  cfg.policy = RoutePolicy::kLocalityHash;
-  // Local queues (no cluster hold queue) so the keyed job sits in shard
-  // 0's backlog — the extraction path drain_shard migrates.
-  cfg.hold_queue = false;
   Cluster cluster(
-      memory_backend_factory(kDisksPerShard, kBlockBytes, 0), cfg);
+      memory_backend_factory(kDisksPerShard, kBlockBytes, 0),
+      cluster_cfg(2, 1));
   Rng rng(5);
-  const std::string key0 = key_for_shard(cluster, 0, "z");
-  // Pin shard 0's worker so a second keyed job sits in its local queue.
-  std::promise<void> blocker_started;
-  std::promise<void> release;
-  std::shared_future<void> release_f = release.get_future().share();
-  const JobId blocker = cluster.submit<u64>(
-      spec_of("blocker", key0), make_keys(kMem, Dist::kUniform, rng),
-      std::less<u64>{},
-      [&blocker_started, release_f](const SortResult<u64>&) {
-        blocker_started.set_value();
-        release_f.wait();
-      });
-  blocker_started.get_future().wait();
+  // Both shards busy; shard 0 reads lighter, so it is q's home and q
+  // parks there.
+  std::promise<void> release0;
+  std::promise<void> release1;
+  const usize limit = cluster.shard(0).budget().limit();
+  const JobId held0 =
+      hold_shard(cluster, 0, 0, release0.get_future().share(), rng);
+  const JobId held1 = hold_shard(cluster, 1, limit / 10 * 6,
+                                 release1.get_future().share(), rng);
   const JobId q = cluster.submit<u64>(
-      spec_of("migrant", key0), make_keys(kMem, Dist::kUniform, rng));
+      spec_of("rehomed"), make_keys(kMem, Dist::kUniform, rng));
   const u64 q_trace = cluster.info(q).trace_id;
   ASSERT_NE(q_trace, 0u);
+  auto held_home = [&]() -> u32 {
+    for (const auto& h : cluster.dump_state().held) {
+      if (h.trace_id == q_trace) return h.home;
+    }
+    return Cluster::kHeldShard;
+  };
+  EXPECT_EQ(held_home(), 0u);
 
-  // Drain shard 0 from another thread (it blocks on the running
-  // blocker); the queued job must be extracted and finish elsewhere.
+  // Drain shard 0 from another thread (it blocks on the running held
+  // job). Leaving the active set re-homes q onto shard 1 at once.
   std::thread drainer([&] { cluster.drain_shard(0); });
-  // Wait until the migrant left shard 0's queue, then release.
-  while (jobtrace::FlightRecorder::instance()
-             .events(q_trace)
-             .size() < 2) {  // admitted + migrated
+  while (cluster.shard_active(0)) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
-  release.set_value();
-  drainer.join();
-  EXPECT_EQ(cluster.wait(blocker).state, JobState::kDone);
+  EXPECT_EQ(held_home(), 1u);
+  release1.set_value();
   const JobInfo qi = cluster.wait(q);
+  release0.set_value();
+  drainer.join();
+  EXPECT_EQ(cluster.wait(held0).state, JobState::kDone);
+  EXPECT_EQ(cluster.wait(held1).state, JobState::kDone);
   EXPECT_EQ(qi.state, JobState::kDone);
-  // Same causal identity across the migration, and the ring shows it.
+  EXPECT_EQ(cluster.shard_of(q), 1u);
+  // Same causal identity through the re-home, and the ring shows the
+  // park on shard 0 and the dispatch to shard 1 — to its new home, so no
+  // steal.
   EXPECT_EQ(qi.trace_id, q_trace);
   const auto ks = kinds_of(q_trace);
-  const usize migrated = index_of(ks, jobtrace::EventKind::kMigrated);
+  const usize parked = index_of(ks, jobtrace::EventKind::kParked);
+  const usize dispatched = index_of(ks, jobtrace::EventKind::kDispatched);
   const usize finished = index_of(ks, jobtrace::EventKind::kFinished);
-  ASSERT_NE(migrated, static_cast<usize>(-1));
+  ASSERT_NE(parked, static_cast<usize>(-1));
+  ASSERT_NE(dispatched, static_cast<usize>(-1));
   ASSERT_NE(finished, static_cast<usize>(-1));
-  EXPECT_LT(migrated, finished);
+  EXPECT_LT(parked, dispatched);
+  EXPECT_LT(dispatched, finished);
+  EXPECT_EQ(index_of(ks, jobtrace::EventKind::kStolen),
+            static_cast<usize>(-1));
   const auto evs = jobtrace::FlightRecorder::instance().events(q_trace);
-  EXPECT_EQ(evs[migrated].arg0, 0u);  // drained shard
+  EXPECT_EQ(evs[parked].arg0, 0u);      // home when it parked
+  EXPECT_EQ(evs[dispatched].arg0, 1u);  // the re-homed dispatch
   cluster.drain();
 }
 

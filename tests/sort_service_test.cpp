@@ -1,6 +1,6 @@
 // SortService: multi-tenant scheduling over shared disks and memory.
 // Covers admission control (blocking and rejection), mid-queue
-// cancellation, small-job batching, failure isolation, concurrent
+// cancellation, deadline ordering, failure isolation, concurrent
 // stress with mixed record types, and the accounting invariant that
 // per-job IoStats sum exactly to the service-wide totals. The whole
 // file must be TSan-clean (CI runs it under -fsanitize=thread).
@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <future>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -282,41 +283,6 @@ TEST(SortService, InfeasibleShapeFailsCleanly)
   EXPECT_EQ(ok.load(), 1);
 }
 
-TEST(SortService, BatchingCoalescesSmallJobs)
-{
-  ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.small_job_records = kMem;  // n <= M: internal-sort sized
-  SortService svc(make_backend(100), cfg);
-  Rng rng(6);
-  std::atomic<int> ok{0}, bad{0};
-  // Blocker occupies the single worker while the small jobs queue up.
-  const JobId blocker = submit_verified(
-      svc, spec_of("blocker"), make_keys(8 * kMem, Dist::kPermutation, rng),
-      ok, bad);
-  std::vector<JobId> smalls;
-  for (int i = 0; i < 10; ++i) {
-    smalls.push_back(submit_verified(
-        svc, spec_of("small" + std::to_string(i)),
-        make_keys(kMem / 2, Dist::kUniform, rng), ok, bad));
-  }
-  svc.drain();
-  EXPECT_EQ(svc.wait(blocker).state, JobState::kDone);
-  for (JobId id : smalls) EXPECT_EQ(svc.wait(id).state, JobState::kDone);
-  EXPECT_EQ(ok.load(), 11);
-  EXPECT_EQ(bad.load(), 0);
-  const ServiceStats st = svc.stats();
-  // 10 small jobs coalesce into few claims — without batching this would
-  // be 11 worker tasks — but no claim takes more than kBatchMax = 8 of
-  // them, so the blocker plus at least two claims ran.
-  static_assert(SortService::kBatchMax == 8);
-  EXPECT_LT(st.batches_run, 11u);
-  EXPECT_GE(st.batches_run, 3u);
-  // One planner invocation per distinct shape, not per job.
-  EXPECT_LE(st.plan_cache_misses, 2u);
-  EXPECT_GE(st.plan_cache_hits, 9u);
-}
-
 TEST(SortService, ConcurrentPassCountsMatchSingleJobBaseline)
 {
   Rng rng(7);
@@ -350,7 +316,6 @@ TEST(SortService, StressMixedWorkloadAccountingInvariant)
   ServiceConfig cfg;
   cfg.workers = 4;
   cfg.io_depth_total = 8;
-  cfg.small_job_records = 512;
   cfg.total_memory_bytes = usize{64} << 20;
   SortService svc(make_backend(20), cfg);
   Rng rng(8);
@@ -365,7 +330,7 @@ TEST(SortService, StressMixedWorkloadAccountingInvariant)
     all.push_back(submit_verified(
         svc, spec_of("u64-mid" + std::to_string(round), 1),
         make_keys(2 * kMem, Dist::kZipf, rng), ok, bad));
-    // Batchable small jobs.
+    // Small jobs.
     all.push_back(submit_verified(
         svc, spec_of("u64-small" + std::to_string(round)),
         make_keys(256, Dist::kUniform, rng), ok, bad));
@@ -515,6 +480,60 @@ TEST(SortService, EdfOrdersWithinPriorityBand)
   EXPECT_EQ(order[0], "tight");
   EXPECT_EQ(order[1], "loose");
   EXPECT_EQ(order[2], "no-deadline");
+}
+
+// A deadline too far out for steady_clock (+inf, 1e12 s) orders like no
+// deadline: behind every representable one, FIFO among themselves. A plain
+// duration_cast of such a deadline overflows (undefined behaviour; on x86
+// a deadline in the past, so it runs ahead of the 10 s job). NaN is
+// refused.
+TEST(SortService, DeadlineBeyondClockRangeOrdersLikeNone)
+{
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  SortService svc(make_backend(), cfg);
+  Rng rng(22);
+  // The blocker holds the single worker (in its completion callback)
+  // until every deadlined job is queued.
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> release_f = release.get_future().share();
+  const JobId blocker = svc.submit<u64>(
+      spec_of("blocker"), make_keys(kMem, Dist::kUniform, rng),
+      std::less<u64>{}, [&started, release_f](const SortResult<u64>&) {
+        started.set_value();
+        release_f.wait();
+      });
+  started.get_future().wait();
+  std::mutex order_mu;
+  std::vector<std::string> order;
+  // Submission order: the representable deadline last.
+  const std::vector<std::pair<std::string, double>> jobs = {
+      {"inf", std::numeric_limits<double>::infinity()},
+      {"1e12s", 1e12},
+      {"10s", 10.0}};
+  for (const auto& [name, deadline_s] : jobs) {
+    SortJobSpec s = spec_of(name);
+    s.deadline_s = deadline_s;
+    svc.submit<u64>(std::move(s), make_keys(kMem, Dist::kUniform, rng),
+                    std::less<u64>{},
+                    [&order, &order_mu, name](const SortResult<u64>&) {
+                      std::lock_guard g(order_mu);
+                      order.push_back(name);
+                    });
+  }
+  SortJobSpec nan_spec = spec_of("nan");
+  nan_spec.deadline_s = std::nan("");
+  EXPECT_THROW(
+      svc.submit<u64>(nan_spec, make_keys(kMem, Dist::kUniform, rng)), Error);
+  release.set_value();
+  svc.drain();
+  EXPECT_EQ(svc.wait(blocker).state, JobState::kDone);
+  ASSERT_EQ(order.size(), 3u);
+  EXPECT_EQ(order[0], "10s");
+  EXPECT_EQ(order[1], "inf");
+  EXPECT_EQ(order[2], "1e12s");
+  EXPECT_EQ(svc.stats().deadline_missed, 0u);
 }
 
 TEST(SortService, DeadlineAdmissionRejectsUnmeetable)
