@@ -14,15 +14,14 @@
 // against the one-shard baseline per job).
 //
 // Gates (PR acceptance): at 4 shards, jobs/sec must be at least `--gate`
-// (default 1.5) times the 1-shard arm; and the
-// elasticity arm — a live 2→4 scale-out mid-workload (add_shard while
-// jobs are parked in the cluster hold queue; the newcomers steal the
-// backlog) — must complete every job and reach `--elastic_gate`
-// (default 1.2) times the static 2-shard baseline's jobs/sec, with
-// per-job pass counts still pinned to the 1-shard baseline. --gate=0 /
-// --elastic_gate=0 disable. An optional arm repeats 1-vs-4 shards over
-// FileDiskBackend (real fds + page cache, no simulated latency;
-// reported, not gated).
+// (default 1.5) times the 1-shard arm; and the elasticity arm — a live
+// 2→4 scale-out mid-workload (add_shard while jobs are parked in the
+// cluster hold queue; the newcomers steal the backlog) — must complete
+// every job and reach `--elastic_gate` (default 1.2) times the static
+// 2-shard baseline's jobs/sec, with per-job pass counts still pinned to
+// the 1-shard baseline. --gate=0 / --elastic_gate=0 disable. An optional
+// arm repeats 1-vs-4 shards over FileDiskBackend (real fds + page cache,
+// no simulated latency; reported, not gated).
 #include <filesystem>
 #include <memory>
 

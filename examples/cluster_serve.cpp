@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "cluster: " << st.completed << " done, " << st.failed
             << " failed, " << st.rejected << " rejected ("
-            << st.rejected_cluster_wide << " cluster-wide); "
+            << st.held_rejected << " before reaching a shard); "
             << verified.load() << " verified\n"
             << "placement: " << st.held_total << " parked, " << st.stolen
             << " stolen\n"

@@ -161,7 +161,6 @@ void Cluster::pump_locked() {
       add_record_locked(h.id, std::move(rec));
       jobs_.erase(h.id);
       ++held_rejected_;
-      ++rejected_cluster_wide_;
       hold_.erase(hold_.begin() + static_cast<std::ptrdiff_t>(i));
     };
     // The placement rule, applied on the job's first pump and again only
@@ -786,7 +785,6 @@ ClusterStats Cluster::stats() const {
       }
     }
     c.jobs_per_shard = jobs_per_shard_;
-    c.rejected_cluster_wide = rejected_cluster_wide_;
     c.held_now = hold_.size();
     c.held_total = held_total_;
     c.held_cancelled = held_cancelled_;

@@ -515,7 +515,6 @@ class Cluster {
   JobId next_id_ = 1;
   bool stopping_ = false;
   std::vector<u64> jobs_per_shard_;
-  u64 rejected_cluster_wide_ = 0;
   u64 held_total_ = 0;
   u64 held_cancelled_ = 0;
   u64 held_rejected_ = 0;

@@ -32,20 +32,17 @@ struct ClusterStats {
   u64 retained = 0;
   u64 batches_run = 0;  // worker tasks run (one job each)
 
-  /// Jobs the cluster rejected before they reached a shard (no active
-  /// shard's budget could hold them, or the pump's deadline check): a
-  /// subset of `rejected`.
-  u64 rejected_cluster_wide = 0;
-
   /// Hold queue + work stealing: jobs currently parked; jobs that did not
-  /// dispatch during their own submit (they waited in the queue); parked
-  /// jobs cancelled/rejected before reaching a shard; and jobs dispatched
+  /// dispatch during their own submit (they waited in the queue); jobs
+  /// cancelled or rejected in the hold queue, before reaching a shard (a
+  /// reject: no active shard's budget could hold the job, or the pump's
+  /// deadline check; these are part of `rejected`); and jobs dispatched
   /// to a shard other than their home.
   u64 held_now = 0;
   u64 held_total = 0;
   u64 held_cancelled = 0;
   u64 held_rejected = 0;
-  /// Subset of held_rejected: parked jobs rejected by the pump's deadline
+  /// Subset of held_rejected: jobs rejected by the pump's deadline
   /// admission check (calibrated run estimate exceeded the remaining
   /// deadline budget, so dispatch could only have produced a late job).
   u64 held_rejected_deadline = 0;

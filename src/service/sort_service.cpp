@@ -269,7 +269,6 @@ JobId SortService::submit_impl(SortJobSpec spec, u64 n, usize record_bytes,
         return queue_before(*a, *b);
       });
   pending_.insert(pos, raw);
-  pending_carve_bytes_ += raw->carve_bytes;
   flight.record(raw->spec.trace_id, jobtrace::EventKind::kAdmitted,
                 raw->spec.name.c_str(), cfg_.shard_id);
   jobs_.emplace(id, std::move(job));
@@ -292,12 +291,8 @@ bool SortService::cancel(JobId id) {
   if (job.state == JobState::kQueued) {
     job.state = JobState::kCancelled;
     job.t_end = Clock::now();
-    job.run = {};
-    // A claimed job is queued but no longer pending: its worker is about
-    // to see the cancellation in run_one.
-    if (std::erase(pending_, &job) != 0) {
-      pending_carve_bytes_ -= job.carve_bytes;
-    }
+    job.run = {};  // safe: a claimed job is only run while still kQueued
+    std::erase(pending_, &job);
     jobtrace::FlightRecorder::instance().note_end(
         job.spec.trace_id, jobtrace::EventKind::kCancelled,
         "cancelled while queued", /*bad=*/true, cfg_.shard_id);
@@ -495,7 +490,8 @@ ShardLoad SortService::load() const {
   l.shard = cfg_.shard_id;
   l.queued = pending_.size();
   l.running = active_tasks_;
-  l.reserved_bytes = budget_.current() + pending_carve_bytes_;
+  l.reserved_bytes = budget_.current();
+  for (const Job* j : pending_) l.reserved_bytes += j->carve_bytes;
   l.budget_limit = budget_.limit();
   l.depth_in_use = depth_in_use_;
   l.cpu_in_use = cpu_in_use_;
@@ -511,7 +507,6 @@ std::shared_ptr<SortService::Job> SortService::try_claim_locked() {
     // a smaller job further back may still be admittable.
     if (!budget_.try_acquire(job->carve_bytes)) continue;
     pending_.erase(it);
-    pending_carve_bytes_ -= job->carve_bytes;
     return jobs_.at(job->id);
   }
   return nullptr;

@@ -318,7 +318,6 @@ class SortService {
   // shared_ptr so a wait()er survives a concurrent forget()/eviction.
   std::map<JobId, std::shared_ptr<Job>> jobs_;  // id order = submit order
   std::vector<Job*> pending_;  // sorted: priority desc, EDF, id asc
-  usize pending_carve_bytes_ = 0;  // sum of pending_ jobs' carves
   JobId next_id_ = 1;
   bool stop_ = false;
   usize active_tasks_ = 0;

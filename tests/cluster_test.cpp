@@ -178,7 +178,7 @@ TEST(Cluster, BigShardTakesJobOnlyItCanHold)
   EXPECT_EQ(rj.state, JobState::kRejected);
   EXPECT_NE(rj.error.find("admission control"), std::string::npos);
   const ClusterStats st = cluster.stats();
-  EXPECT_EQ(st.rejected_cluster_wide, 1u);
+  EXPECT_EQ(st.held_rejected, 1u);
   EXPECT_EQ(st.rejected, 1u);
   EXPECT_EQ(st.submitted, 3u);
   EXPECT_EQ(st.stolen, 0u);
@@ -432,7 +432,7 @@ TEST(Cluster, StressAccountingInvariantAcrossShards)
             st.submitted);
   EXPECT_EQ(st.cancelled, cancelled);
   EXPECT_EQ(st.rejected, 1u);
-  EXPECT_EQ(st.rejected_cluster_wide, 1u);
+  EXPECT_EQ(st.held_rejected, 1u);
   EXPECT_GE(st.failed, 1u);
   EXPECT_EQ(bad.load(), 0);
   EXPECT_EQ(st.shards, 4u);
