@@ -182,13 +182,25 @@ void Cluster::pump_locked() {
           "carve");
       continue;
     }
-    // Deadline pump admission: a deadline job whose calibrated run
-    // estimate no longer fits inside the time it has left can only be
-    // dispatched to miss — reject it here instead of burning a shard slot
-    // on a hopeless run. Gated on the home shard's deadline_admission
-    // flag, like the shard-side check it front-runs, and calibrated by the
-    // same EMA the shard feeds (deadline_cal).
-    if (h.job.spec.deadline_s > 0 &&
+    // Home if it can start the job now, else (unpinned) the lowest-score
+    // shard that can: a steal.
+    u32 target = kHeldShard;
+    usize target_carve = home_carve;
+    if (loads[h.home].fits_now(home_carve)) {
+      target = h.home;
+    } else if (!pinned) {
+      target = lowest_score(
+          [&](u32 s) { return loads[s].fits_now(carve_on(s)); });
+      if (target != kHeldShard) target_carve = carve_on(target);
+    }
+    // Deadline pump admission: a job that waits (or has waited) here and
+    // whose calibrated run estimate no longer fits inside the time it has
+    // left can only be dispatched to miss — reject it instead of holding
+    // it or burning a shard slot on a hopeless run. A job dispatched by
+    // its own submit's pump meets only the shard-side check, which this
+    // one front-runs: same deadline_admission gate, same calibration EMA
+    // (deadline_cal).
+    if ((h.parked || target == kHeldShard) && h.job.spec.deadline_s > 0 &&
         slots_[h.home].service->config().deadline_admission) {
       SortService& svc = *slots_[h.home].service;
       const double est =
@@ -207,17 +219,6 @@ void Cluster::pump_locked() {
                std::to_string(std::max(0.0, remaining)) + "s");
         continue;
       }
-    }
-    // Home if it can start the job now, else (unpinned) the lowest-score
-    // shard that can: a steal.
-    u32 target = kHeldShard;
-    usize target_carve = home_carve;
-    if (loads[h.home].fits_now(home_carve)) {
-      target = h.home;
-    } else if (!pinned) {
-      target = lowest_score(
-          [&](u32 s) { return loads[s].fits_now(carve_on(s)); });
-      if (target != kHeldShard) target_carve = carve_on(target);
     }
     if (target == kHeldShard) {
       if (!h.parked) {

@@ -16,10 +16,12 @@
 // goes to its home shard if the home can start it now (a free worker and
 // room in the budget — ShardLoad::fits_now), else to the lowest-score
 // active shard that can (a steal), else it stays parked. A job no active
-// shard's budget could ever hold is rejected cluster-side. The pump runs
-// on every submit, every finished task (SortService capacity callback),
-// add_shard and drain_shard, so a shard only ever receives jobs it can
-// start at once and never builds a local backlog.
+// shard's budget could ever hold is rejected cluster-side, and so is a
+// deadlined job that waits here once its calibrated run estimate exceeds
+// the time it has left (the shard's own check covers the rest). The pump
+// runs on every submit, every finished task (SortService capacity
+// callback), add_shard and drain_shard, so a shard only ever receives jobs
+// it can start at once and never builds a local backlog.
 //
 // One placement rule: a job's home is its SortJobSpec::target_shard pin
 // while that shard is active; otherwise the lowest-ShardLoad::score()
@@ -409,7 +411,8 @@ class Cluster {
   /// Hands held jobs to shards in queue order (see the class comment):
   /// home if it can start the job now, else the lowest-score active
   /// shard that can, else the job stays parked; rejects jobs no active
-  /// shard could ever hold. Called on submit, capacity-freed callbacks
+  /// shard could ever hold and waiting deadline jobs that can no longer
+  /// finish in time. Called on submit, capacity-freed callbacks
   /// and topology changes.
   void pump_locked();
   void on_capacity_freed();

@@ -131,18 +131,6 @@ Extent DiskAllocator::alloc_extent(u32 disk, u64 count, u32 region) {
   arena.index += count;
   arena.count -= count;
   r.live += count;
-  // Arena carving is sequential, so the new span usually extends the
-  // region's last one on this disk.
-  auto& spans = r.spans[disk];
-  auto after = spans.lower_bound(e.index);
-  if (after != spans.begin()) {
-    auto prev = std::prev(after);
-    if (prev->first + prev->second == e.index) {
-      prev->second += count;
-      return e;
-    }
-  }
-  spans.emplace_hint(after, e.index, count);
   return e;
 }
 
@@ -158,19 +146,6 @@ void DiskAllocator::free_extent(const Extent& e, u32 region) {
     PDM_ASSERT(it->second.live >= e.count,
                "free: more freed than the region allocated");
     it->second.live -= e.count;
-    // Cut [e.index, e.index + e.count) out of the live span holding it.
-    auto& spans = it->second.spans[e.disk];
-    auto span = spans.upper_bound(e.index);
-    PDM_ASSERT(span != spans.begin(), "free: span not held by the region");
-    --span;
-    const u64 start = span->first;
-    const u64 end = start + span->second;
-    PDM_ASSERT(e.index + e.count <= end, "free: span not held by the region");
-    spans.erase(span);
-    if (start < e.index) spans.emplace(start, e.index - start);
-    if (e.index + e.count < end) {
-      spans.emplace(e.index + e.count, end - e.index - e.count);
-    }
   }
 }
 
@@ -181,7 +156,6 @@ u32 DiskAllocator::open_region(u64 arena_blocks) {
   if (arena_blocks > 0) r.arena_blocks = arena_blocks;
   r.arena.assign(num_disks_, Extent{});
   for (u32 d = 0; d < num_disks_; ++d) r.arena[d].disk = d;
-  r.spans.resize(num_disks_);
   regions_.emplace(id, std::move(r));
   return id;
 }
@@ -192,11 +166,6 @@ void DiskAllocator::close_region(u32 region) {
   if (it == regions_.end()) return;
   for (const Extent& arena : it->second.arena) {
     insert_free_locked(arena.disk, arena.index, arena.count);
-  }
-  for (u32 d = 0; d < num_disks_; ++d) {
-    for (const auto& [index, count] : it->second.spans[d]) {
-      insert_free_locked(d, index, count);
-    }
   }
   regions_.erase(it);
 }

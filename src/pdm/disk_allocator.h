@@ -26,14 +26,11 @@
 //    Runs release their unused extent tails at finish(), so tail
 //    fragmentation is transient.
 //  - open_region()/close_region() bracket a job's lifetime (PdmContext
-//    does this automatically). A region tracks the spans it has handed
-//    out and not freed; close returns them, with its arena tails, to the
-//    free list, so the next job reuses a finished job's blocks instead of
-//    growing the disks (runs must not outlive their context — see
-//    striped_run.h). Region 0 is the always-open default region with no
-//    arena: it allocates exact-size spans straight from the free list /
-//    cursor, for direct callers outside any context (PdmContext always
-//    allocates in its own region).
+//    does this automatically); close recycles the region's arena tails.
+//    Region 0 is the always-open default region with no arena: it
+//    allocates exact-size spans straight from the free list / cursor, for
+//    direct callers outside any context (PdmContext always allocates in
+//    its own region).
 //
 // Thread-safe: one allocator is shared by every job context of a sort
 // service, so two concurrent sorts can never be handed the same block.
@@ -90,8 +87,9 @@ class DiskAllocator {
   /// region's data is physically separated from other tenants'.
   u32 open_region(u64 arena_blocks = 0);
 
-  /// Closes a region, returning every span it still holds, and its
-  /// unconsumed arena tails, to the free list.
+  /// Closes a region, recycling its unconsumed arena tails to the free
+  /// list. Blocks already handed out stay allocated (a finished job's
+  /// output may outlive its context).
   void close_region(u32 region);
 
   /// Blocks ever claimed from `disk`'s bump cursor (high-water mark; the
@@ -122,9 +120,6 @@ class DiskAllocator {
     u64 arena_blocks = kDefaultArenaBlocks;
     std::vector<Extent> arena;  // per-disk unconsumed arena tail
     u64 live = 0;               // blocks handed out minus blocks freed
-    // Per disk, index -> count of the spans handed out and not yet freed
-    // (adjacent ones merged): what close_region returns.
-    std::vector<std::map<u64, u64>> spans;
   };
 
   using FreeList = std::map<u64, u64>;  // index -> count, address order

@@ -37,8 +37,9 @@ PdmContext::PdmContext(std::shared_ptr<DiskBackend> backend,
 }
 
 PdmContext::~PdmContext() {
-  // Every block of the region, and its unconsumed arena tails, go back to
-  // the shared free list: runs do not outlive their context.
+  // The region's unconsumed arena tails go back to the shared free list;
+  // blocks this context's runs still hold stay allocated (an output run
+  // may be read after the job context is gone).
   alloc_->close_region(region_);
 }
 

@@ -51,7 +51,7 @@ class PdmContext {
   PdmContext(const PdmContext&) = delete;
   PdmContext& operator=(const PdmContext&) = delete;
 
-  /// Closes this context's allocator region, returning its blocks.
+  /// Closes this context's allocator region (recycling its arena tails).
   ~PdmContext();
 
   u32 D() const noexcept { return backend_->num_disks(); }

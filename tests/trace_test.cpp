@@ -13,7 +13,8 @@
 //  - util/logging: concurrent PDM_INFO lines never interleave mid-line.
 //  - Cluster pump deadline admission: a parked job whose calibrated
 //    estimate cannot meet its remaining deadline is rejected at the pump
-//    (held_rejected_deadline), not dispatched to miss.
+//    (held_rejected_deadline), not dispatched to miss; one that dispatches
+//    during its own submit meets only the shard's check.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -396,6 +397,19 @@ TEST(ClusterTest, PumpRejectsHopelessDeadlinesWithCounter) {
   Cluster cluster(memory_backend_factory(4, rpb * sizeof(u64), 0), cfg);
 
   Rng rng(3);
+  // On the idle cluster a hopeless deadline job dispatches during its own
+  // submit, so the shard's deadline check rejects it, not the pump's.
+  SortJobSpec idle_spec;
+  idle_spec.name = "hopeless-idle";
+  idle_spec.mem_records = mem;
+  idle_spec.deadline_s = 1e-5;
+  const JobInfo idle = cluster.wait(
+      cluster.submit<u64>(idle_spec, make_keys(4096, Dist::kUniform, rng)));
+  EXPECT_EQ(idle.state, JobState::kRejected);
+  EXPECT_NE(idle.error.find("deadline admission"), std::string::npos)
+      << idle.error;
+  EXPECT_EQ(idle.error.find("(pump)"), std::string::npos) << idle.error;
+
   // Job A occupies the single worker: its completion callback blocks until
   // released, so job B cannot dispatch and must park in the hold queue.
   std::promise<void> a_started;
@@ -434,7 +448,7 @@ TEST(ClusterTest, PumpRejectsHopelessDeadlinesWithCounter) {
   const ClusterStats st = cluster.stats();
   EXPECT_EQ(st.held_rejected_deadline, 1u);
   EXPECT_EQ(st.held_rejected, 1u);
-  EXPECT_EQ(st.rejected, 1u);
+  EXPECT_EQ(st.rejected, 2u);  // the shard's reject and the pump's
   // The exposition surface carries the rejection and the park histogram.
   const std::string text = cluster.metrics_text();
   EXPECT_NE(text.find("cluster.hold_depth"), std::string::npos);
