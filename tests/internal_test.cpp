@@ -217,6 +217,64 @@ TEST(LoserTree, StableOnTies) {
   EXPECT_EQ(tree.min_source(), 2u);
 }
 
+// Tree contract: a single source still plays (the tree pads to two
+// leaves) and drains to empty.
+TEST(LoserTree, SingleSource) {
+  LoserTree<u64> tree(1);
+  tree.set_initial(0, 7);
+  tree.build();
+  ASSERT_FALSE(tree.empty());
+  EXPECT_EQ(tree.min_source(), 0u);
+  EXPECT_EQ(tree.min_value(), 7u);
+  tree.replace_min(9);
+  EXPECT_EQ(tree.min_source(), 0u);
+  EXPECT_EQ(tree.min_value(), 9u);
+  tree.exhaust_min();
+  EXPECT_TRUE(tree.empty());
+}
+
+// Tree contract: with k short of a power of two, the padding leaves never
+// surface, even when every live key is the largest representable one, and
+// equal keys leave in source order.
+TEST(LoserTree, NonPowerOfTwoFaninNeverSurfacesPadding) {
+  for (usize k : {3, 5, 6, 7, 9, 12}) {
+    LoserTree<u64> tree(k);
+    for (usize i = 0; i < k; ++i) tree.set_initial(i, ~u64{0});
+    tree.build();
+    for (usize i = 0; i < k; ++i) {
+      ASSERT_FALSE(tree.empty()) << "k " << k;
+      EXPECT_EQ(tree.min_source(), i) << "k " << k;
+      EXPECT_EQ(tree.min_value(), ~u64{0});
+      tree.exhaust_min();
+    }
+    EXPECT_TRUE(tree.empty()) << "k " << k;
+  }
+}
+
+// Tree contract: a source exhausted mid-merge never surfaces again, although
+// its last key stays smaller than every key the other sources still hold.
+TEST(LoserTree, ExhaustedSourceNeverResurfaces) {
+  const usize k = 6;
+  LoserTree<u64> tree(k);
+  for (usize i = 0; i < k; ++i) tree.set_initial(i, i == 2 ? 0 : 10 + i);
+  tree.build();
+  ASSERT_EQ(tree.min_source(), 2u);
+  tree.exhaust_min();
+  std::vector<usize> order;
+  u64 next_key = 100;
+  while (!tree.empty()) {
+    const usize s = tree.min_source();
+    order.push_back(s);
+    if (order.size() < 20) {
+      tree.replace_min(next_key++);
+    } else {
+      tree.exhaust_min();
+    }
+  }
+  EXPECT_EQ(order.size(), 19u + (k - 1));
+  EXPECT_EQ(std::count(order.begin(), order.end(), usize{2}), 0);
+}
+
 // -------------------------------------------------------- radix partition
 
 TEST(RadixPartition, DigitExtraction) {

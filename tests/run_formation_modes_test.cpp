@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <set>
 
 #include "core/adaptive.h"
 #include "pdm/memory_backend.h"
@@ -83,7 +84,9 @@ TEST_P(AdaptiveRunFormation, RunsSortedCoverInputWithLengthBounds) {
           << "run " << i << " length " << lens[i];
     }
   }
-  if (dist == Dist::kSorted) EXPECT_EQ(runs.size(), 1u);
+  if (dist == Dist::kSorted) {
+    EXPECT_EQ(runs.size(), 1u);
+  }
   if (dist == Dist::kNearSortedDisplaced) {
     // Window n/32 = 64 <= M/2: the heap absorbs all displacement.
     EXPECT_EQ(runs.size(), 1u);
@@ -174,6 +177,131 @@ TEST(AdaptiveRunFormationBar, FixedDefaultIsDeterministic) {
     }
   }
 }
+
+// ------------------------------------------------- selection order, exactly
+
+// Differential check of replacement_select_runs against a reference
+// tournament: an ordered set of (tag, key, slot) entries with the same
+// eligibility rule. Records compare on .first only and carry their input
+// position in .second, so the order in which equal keys leave the
+// tournament shows in the output; run boundaries, records and every tie
+// must match the reference.
+using PosRec = KeyPair<u64, u64>;
+
+struct FirstLess {
+  bool operator()(const PosRec& a, const PosRec& b) const {
+    return a.first < b.first;
+  }
+};
+
+/// The runs replacement selection stores for `in`, as input positions.
+/// Ties leave in slot order; a descending run is stored with its whole
+/// blocks reversed, and its sub-block tail reversed as a run of its own.
+std::vector<std::vector<u64>> reference_runs(const std::vector<PosRec>& in,
+                                             usize heap, usize rpb,
+                                             bool updown) {
+  struct Entry {
+    u64 tag;
+    PosRec rec;
+    usize slot;
+  };
+  auto descends = [updown](u64 tag) { return updown && (tag & 1) != 0; };
+  auto less = [&](const Entry& a, const Entry& b) {
+    if (a.tag != b.tag) return a.tag < b.tag;
+    if (a.rec.first != b.rec.first) {
+      return descends(a.tag) ? a.rec.first > b.rec.first
+                             : a.rec.first < b.rec.first;
+    }
+    return a.slot < b.slot;
+  };
+  std::set<Entry, decltype(less)> tournament(less);
+  usize next = 0;
+  for (; next < std::min(heap, in.size()); ++next) {
+    tournament.insert({0, in[next], next});
+  }
+  std::vector<std::pair<u64, std::vector<u64>>> emitted;  // (tag, positions)
+  while (!tournament.empty()) {
+    const Entry top = *tournament.begin();
+    tournament.erase(tournament.begin());
+    if (emitted.empty() || emitted.back().first != top.tag) {
+      emitted.push_back({top.tag, {}});
+    }
+    emitted.back().second.push_back(top.rec.second);
+    if (next < in.size()) {
+      const PosRec x = in[next++];
+      const bool eligible = descends(top.tag) ? x.first <= top.rec.first
+                                              : x.first >= top.rec.first;
+      tournament.insert({eligible ? top.tag : top.tag + 1, x, top.slot});
+    }
+  }
+  std::vector<std::vector<u64>> runs;
+  for (auto& [tag, seq] : emitted) {
+    if (!descends(tag)) {
+      runs.push_back(std::move(seq));
+      continue;
+    }
+    const usize tail = seq.size() % rpb;
+    if (seq.size() > tail) runs.emplace_back(seq.rbegin() + tail, seq.rend());
+    if (tail > 0) runs.emplace_back(seq.rbegin(), seq.rbegin() + tail);
+  }
+  return runs;
+}
+
+struct SelectionCase {
+  bool updown;
+  Dist dist;
+};
+
+class ReplacementSelectionOrder
+    : public ::testing::TestWithParam<SelectionCase> {};
+
+TEST_P(ReplacementSelectionOrder, MatchesReferenceTournament) {
+  const auto [updown, dist] = GetParam();
+  constexpr usize kRpb = 8;
+  // A power-of-two heap, a heap that leaves padding leaves in the tree,
+  // and an input smaller than the heap; every input ends mid-block.
+  for (const auto& [heap, n] : {std::pair<usize, usize>{64, 1000},
+                                {40, 777},
+                                {64, 50}}) {
+    Rng rng(heap * 1000 + n);
+    const auto keys = make_keys(n, dist, rng);
+    std::vector<PosRec> data(n);
+    for (usize i = 0; i < n; ++i) data[i] = PosRec{keys[i], i};
+    auto ctx = make_memory_context(4, kRpb * sizeof(PosRec), 1);
+    auto in = test::stage_input<PosRec>(*ctx, data);
+    const auto runs = replacement_select_runs<PosRec>(
+        *ctx, in, heap, 0, 0, updown, flat_run_start_stride(ctx->D()),
+        FirstLess{});
+    const auto expect = reference_runs(data, heap, kRpb, updown);
+    ASSERT_EQ(runs.size(), expect.size()) << "heap " << heap << " n " << n;
+    for (usize r = 0; r < runs.size(); ++r) {
+      std::vector<u64> got;
+      for (const auto& rec : runs[r].read_all()) got.push_back(rec.second);
+      ASSERT_EQ(got, expect[r]) << "heap " << heap << " n " << n << " run "
+                                << r;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesTimesInputs, ReplacementSelectionOrder,
+    [] {
+      std::vector<SelectionCase> cases;
+      for (bool updown : {false, true}) {
+        for (auto dist : {Dist::kUniform, Dist::kPermutation, Dist::kReverse,
+                          Dist::kFewDistinct, Dist::kAllEqual,
+                          Dist::kNearSortedDisplaced}) {
+          cases.push_back({updown, dist});
+        }
+      }
+      return ::testing::ValuesIn(cases);
+    }(),
+    [](const ::testing::TestParamInfo<SelectionCase>& info) {
+      std::string name = info.param.updown ? "updown_" : "replacement_";
+      name += dist_name(info.param.dist);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 // ------------------------------------------------------ presortedness probe
 
