@@ -7,10 +7,10 @@
 // input with the same memory-load read batches as the fixed-run path, so
 // the read-side I/O schedule is identical — only run boundaries move.
 //
-// Memory: the M-record tournament heap plus one staging block and the
-// double-buffered input loads are charged to the context budget; the loser
-// tree's internal arrays (~2 * bit_ceil(M) entries of {tag, record}) are
-// not, matching how the merge passes already account for their trees.
+// Memory: the context budget is charged for the M-record load buffer, one
+// staging block and, with async I/O, the second load buffer. The loser
+// tree's bit_ceil(M) nodes of {record, tag, source} are not charged,
+// matching how the merge passes account for their trees.
 #pragma once
 
 #include <algorithm>
@@ -26,30 +26,6 @@
 #include "util/trace.h"
 
 namespace pdm {
-namespace detail {
-
-/// Tournament entry: records compare first by run tag — an earlier run
-/// drains completely before any record of a later run surfaces — then by
-/// key, ascending for even tags and descending for odd tags when the
-/// up/down policy is active.
-template <class R>
-struct RsItem {
-  u64 run = 0;
-  R rec{};
-};
-
-template <class R, class Cmp>
-struct RsLess {
-  Cmp cmp;
-  bool updown;
-  bool operator()(const RsItem<R>& a, const RsItem<R>& b) const {
-    if (a.run != b.run) return a.run < b.run;
-    if (updown && (a.run & 1) != 0) return cmp(b.rec, a.rec);
-    return cmp(a.rec, b.rec);
-  }
-};
-
-}  // namespace detail
 
 /// Replacement-selection run formation over a striped input range.
 /// Emits variable-length ascending runs: every run except possibly the
@@ -133,28 +109,28 @@ std::vector<StripedRun<R>> replacement_select_runs(
   // which is what guarantees every non-final run's length is >= M — when
   // run r opens, all M tree slots hold tag-r records, and each of them
   // must be emitted into run r before any tag-(r+1) record surfaces.
-  using Item = detail::RsItem<R>;
-  using Less = detail::RsLess<R, Cmp>;
+  // Odd-numbered runs descend under the up/down policy.
+  auto run_less = [cmp, updown](u32 run, const R& a, const R& b) {
+    return updown && (run & 1) != 0 ? cmp(b, a) : cmp(a, b);
+  };
   const usize k = static_cast<usize>(std::min<u64>(heap_records, n));
-  LoserTree<Item, Less> tree(k, Less{cmp, updown});
-  {
+  LoserTree<R, decltype(run_less)> tree(k, run_less);
+  for (usize i = 0; i < k; ++i) {
     R r{};
-    for (usize i = 0; i < k; ++i) {
-      const bool ok = next_record(r);
-      PDM_CHECK(ok, "input exhausted during heap fill");
-      tree.set_initial(i, Item{0, r});
-    }
+    const bool ok = next_record(r);
+    PDM_CHECK(ok, "input exhausted during heap fill");
+    tree.set_initial(i, r);
   }
   tree.build();
 
   std::vector<StripedRun<R>> out;
   TrackedBuffer<R> block_buf(ctx.budget(), rpb);
   usize fill = 0;
-  constexpr u64 kNoRun = static_cast<u64>(-1);
-  u64 cur_run = kNoRun;
+  u32 cur_run = 0;
   bool down = false;  // current run is selected descending
 
-  auto open_run = [&](u64 run_no) {
+  auto open_run = [&](u32 run_no) {
+    PDM_CHECK(run_no + 1 < decltype(tree)::kDeadTag, "run tags exhausted");
     out.emplace_back(ctx,
                      static_cast<u32>((out.size() * start_stride) % ctx.D()));
     cur_run = run_no;
@@ -170,7 +146,6 @@ std::vector<StripedRun<R>> replacement_select_runs(
     fill = 0;
   };
   auto close_run = [&]() {
-    if (cur_run == kNoRun) return;
     if (!down) {
       flush_block();  // a partial tail is fine for an ascending run
       out.back().finish();
@@ -190,25 +165,25 @@ std::vector<StripedRun<R>> replacement_select_runs(
     }
   };
 
+  open_run(0);  // every first entry carries tag 0
   while (!tree.empty()) {
-    const Item top = tree.min_value();  // copy: replace_min overwrites it
-    if (top.run != cur_run) {
+    const R top = tree.min_value();  // copy: replace_min overwrites it
+    const u32 run = tree.min_tag();
+    if (run != cur_run) {
       close_run();
-      open_run(top.run);
+      open_run(run);
     }
     R incoming{};
     if (next_record(incoming)) {
       // Classic replacement selection: the incoming record joins the
-      // current run iff emitting it after `top.rec` keeps the run's order
-      // (>= for ascending runs, <= for descending); otherwise it waits in
-      // the heap under the next run's tag.
-      const bool eligible =
-          down ? !cmp(top.rec, incoming) : !cmp(incoming, top.rec);
-      tree.replace_min(Item{eligible ? top.run : top.run + 1, incoming});
+      // current run iff emitting it after `top` keeps the run's order;
+      // otherwise it waits in the heap under the next run's tag.
+      const bool late = run_less(run, incoming, top);
+      tree.replace_min(incoming, late ? run + 1 : run);
     } else {
       tree.exhaust_min();
     }
-    block_buf.data()[fill++] = top.rec;
+    block_buf.data()[fill++] = top;
     if (fill == rpb) {
       ctx.check_cancelled();
       flush_block();

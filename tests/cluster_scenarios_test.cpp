@@ -434,9 +434,12 @@ TEST(ClusterScenarios, StressSubmitsAndCancelsDuringTopologyChanges)
       for (int j = 0; j < kPerThread; ++j) {
         auto r = std::make_shared<std::atomic<int>>(0);
         const u64 n = (1 + static_cast<u64>(j % 3)) * kMem;
+        // std::string first: GCC 12 reports a false -Wrestrict for a
+        // literal + std::string&& here once the sorters inline around it.
         JobId id = submit_counted(
             cluster,
-            spec_of("s" + std::to_string(t) + "-" + std::to_string(j),
+            spec_of(std::string("s") + std::to_string(t) + "-" +
+                        std::to_string(j),
                     "tenant-" + std::to_string((t + j) % 7), j % 2),
             make_keys(static_cast<usize>(n), Dist::kUniform, rng), r, bad);
         std::lock_guard g(ids_mu);

@@ -275,6 +275,40 @@ TEST(LoserTree, ExhaustedSourceNeverResurfaces) {
   EXPECT_EQ(std::count(order.begin(), order.end(), usize{2}), 0);
 }
 
+// Tree contract: entries order by tag before record, so a lower tag wins
+// against a smaller key, and a tag-aware comparator orders each tag its
+// own way (here: odd tags descend).
+TEST(LoserTree, LowerTagBeatsSmallerKey) {
+  LoserTree<u64> tree(3);
+  tree.set_initial(0, 1, 2);
+  tree.set_initial(1, 50, 1);
+  tree.set_initial(2, 40, 1);
+  tree.build();
+  EXPECT_EQ(tree.min_source(), 2u);
+  EXPECT_EQ(tree.min_tag(), 1u);
+  tree.replace_min(5, 3);
+  EXPECT_EQ(tree.min_source(), 1u);
+  tree.replace_min(60, 1);
+  EXPECT_EQ(tree.min_source(), 1u);
+  EXPECT_EQ(tree.min_value(), 60u);
+  tree.exhaust_min();
+  EXPECT_EQ(tree.min_source(), 0u);
+  EXPECT_EQ(tree.min_tag(), 2u);
+
+  auto odd_descends = [](u32 tag, u64 a, u64 b) {
+    return (tag & 1) != 0 ? b < a : a < b;
+  };
+  LoserTree<u64, decltype(odd_descends)> updown(4, odd_descends);
+  for (usize i = 0; i < 4; ++i) updown.set_initial(i, 10 * (i + 1), i / 2);
+  updown.build();
+  std::vector<u64> out;
+  while (!updown.empty()) {
+    out.push_back(updown.min_value());
+    updown.exhaust_min();
+  }
+  EXPECT_EQ(out, (std::vector<u64>{10, 20, 40, 30}));
+}
+
 // -------------------------------------------------------- radix partition
 
 TEST(RadixPartition, DigitExtraction) {
