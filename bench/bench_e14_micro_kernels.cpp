@@ -79,6 +79,48 @@ void BM_LoserTreeMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_LoserTreeMerge)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
+// The selection loop of replacement_select_runs without its I/O: an
+// M-record tree in which each emitted record is replaced by the next
+// input record, tagged with the current run or, when it arrives too late
+// for it, the next one. Args: M, then 0 = near-sorted (displacement N/32),
+// 1 = random permutation; N = 2^20.
+void BM_ReplacementSelection(benchmark::State& state) {
+  const usize m = static_cast<usize>(state.range(0));
+  const Dist dist =
+      state.range(1) == 0 ? Dist::kNearSortedDisplaced : Dist::kPermutation;
+  const usize n = usize{1} << 20;
+  Rng rng(5);
+  const auto in = make_keys(n, dist, rng);
+  std::vector<u64> out(n);
+  u32 last_run = 0;
+  for (auto _ : state) {
+    LoserTree<u64> tree(m);
+    for (usize i = 0; i < m; ++i) tree.set_initial(i, in[i]);
+    tree.build();
+    usize next = m;
+    usize o = 0;
+    while (!tree.empty()) {
+      const u64 top = tree.min_value();
+      last_run = tree.min_tag();
+      out[o++] = top;
+      if (next < n) {
+        const u64 x = in[next++];
+        tree.replace_min(x, x < top ? last_run + 1 : last_run);
+      } else {
+        tree.exhaust_min();
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(dist_name(dist));
+  state.counters["runs"] = last_run + 1;
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(n));
+}
+BENCHMARK(BM_ReplacementSelection)
+    ->ArgsProduct({{1 << 12, 1 << 16, 1 << 18}, {0, 1}});
+
 void BM_RadixPartition(benchmark::State& state) {
   const usize n = 1 << 20;
   const u32 bits = static_cast<u32>(state.range(0));

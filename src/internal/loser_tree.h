@@ -35,10 +35,10 @@ class LoserTree {
   }
 
   /// Sets the first entry of source i. Call for every live source, then
-  /// build(); until then slot i holds leaf i.
+  /// build().
   void set_initial(usize i, const R& v, u32 tag = 0) {
     PDM_CHECK(i < k_, "source out of range");
-    nodes_[i] = Node{v, tag, static_cast<u32>(i)};
+    nodes_[i] = Node{v, tag, static_cast<u32>(i)};  // leaf i until build()
   }
 
   /// Plays the initial tournament bottom-up.
