@@ -299,7 +299,9 @@ TEST(LoserTree, LowerTagBeatsSmallerKey) {
     return (tag & 1) != 0 ? b < a : a < b;
   };
   LoserTree<u64, decltype(odd_descends)> updown(4, odd_descends);
-  for (usize i = 0; i < 4; ++i) updown.set_initial(i, 10 * (i + 1), i / 2);
+  for (usize i = 0; i < 4; ++i) {
+    updown.set_initial(i, 10 * (i + 1), static_cast<u32>(i / 2));
+  }
   updown.build();
   std::vector<u64> out;
   while (!updown.empty()) {
