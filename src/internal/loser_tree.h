@@ -46,7 +46,7 @@ class LoserTree {
     std::vector<Node> win(2 * cap_);  // win[n]: winner below node n
     std::copy(nodes_.begin(), nodes_.end(), win.begin() + cap_);
     for (usize n = cap_ - 1; n >= 1; --n) {
-      play(win[2 * n], win[2 * n + 1], win[n], nodes_[n]);
+      match(win[2 * n], win[2 * n + 1], win[n], nodes_[n]);
     }
     nodes_[0] = win[1];
   }
@@ -100,8 +100,8 @@ class LoserTree {
 
   // The right entry wins only when strictly smaller, so ties go to the
   // left subtree, which holds the lower source indices.
-  void play(const Node& left, const Node& right, Node& winner,
-            Node& loser) const {
+  void match(const Node& left, const Node& right, Node& winner,
+             Node& loser) const {
     const bool right_wins = less(right, left);
     winner = pick(right_wins, left, right);
     loser = pick(right_wins, right, left);
@@ -113,8 +113,8 @@ class LoserTree {
     for (usize n = cap_ + cur.src; n > 1; n /= 2) {
       const Node other = nodes_[n / 2];
       const bool from_right = (n & 1) != 0;
-      play(pick(from_right, cur, other), pick(from_right, other, cur), cur,
-           nodes_[n / 2]);
+      match(pick(from_right, cur, other), pick(from_right, other, cur), cur,
+            nodes_[n / 2]);
     }
     nodes_[0] = cur;
   }
