@@ -219,7 +219,7 @@ TEST(Cluster, ShardsNeverQueueJobsTheyCannotStart)
     submitters.emplace_back([&, t] {
       Rng rng(50 + static_cast<u64>(t));
       for (int j = 0; j < 12; ++j) {
-        SortJobSpec s = spec_of("t" + std::to_string(t) + "-" +
+        SortJobSpec s = spec_of(std::string("t") + std::to_string(t) + "-" +
                                 std::to_string(j));
         // Mixed carves: some jobs take a third of a shard's budget.
         if (j % 4 == 0) s.carve_bytes = cfg.shard.total_memory_bytes / 3;

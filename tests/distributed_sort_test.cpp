@@ -556,7 +556,7 @@ TEST(DistributedSort, ConcurrentTrafficElasticityAndCancel)
       auto want = small;
       std::sort(want.begin(), want.end());
       cluster.submit<u64>(
-          spec_of("t" + std::to_string(i)), std::move(small),
+          spec_of(std::string("t") + std::to_string(i)), std::move(small),
           std::less<u64>{},
           [want = std::move(want), &ok, &bad](const SortResult<u64>& res) {
             if (res.output.read_all() == want) {
