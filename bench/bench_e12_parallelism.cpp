@@ -77,8 +77,7 @@ int main(int argc, char** argv) {
     const u64 c = 4;
     const u32 disks = static_cast<u32>(s / c);
     const Geom g{mem, s, disks};
-    auto adv = make_merge_adversary(runs, mem, static_cast<usize>(s), disks,
-                                    flat_run_start_stride(disks));
+    auto adv = make_merge_adversary(runs, mem, static_cast<usize>(s), disks);
     Rng rng(3);
     auto rnd = make_keys(static_cast<usize>(n), Dist::kUniform, rng);
     for (bool adversarial : {false, true}) {

@@ -93,6 +93,15 @@ SortResult<R> columnsort_cc_sort(PdmContext& ctx, const StripedRun<R>& input,
     internal_sort_budgeted(data, cmp, ctx.cpu_pool(), scratch.span());
   };
 
+  // Part t of column i (a pass-1 part or a pass-2 segment) starts on disk
+  // spread_start_disk((i + t) mod c, c, D): each column's c parts fill
+  // consecutive disks, and so do the c parts the next pass reads together
+  // (part i2 of every column in pass 2, segment i of every column in
+  // pass 3; r is a multiple of c, so pass 2's d(q, i2) is i2).
+  auto part_start = [&](u64 i, u64 t) {
+    return spread_start_disk((i + t) % c, c, ctx.D());
+  };
+
   // Pass 1: steps 1+2.
   std::vector<std::vector<StripedRun<R>>> part1(static_cast<usize>(c));
   for (u64 i = 0; i < c; ++i) {
@@ -106,7 +115,7 @@ SortResult<R> columnsort_cc_sort(PdmContext& ctx, const StripedRun<R>& input,
     auto& parts = part1[static_cast<usize>(i)];
     std::vector<WriteReq> reqs;
     for (u64 t = 0; t < c; ++t) {
-      parts.emplace_back(ctx, static_cast<u32>((i + t) % ctx.D()));
+      parts.emplace_back(ctx, part_start(i, t));
     }
     for (u64 b = 0; b < p / rpb; ++b) {
       for (u64 t = 0; t < c; ++t) {
@@ -139,7 +148,7 @@ SortResult<R> columnsort_cc_sort(PdmContext& ctx, const StripedRun<R>& input,
     auto& segs = part2[static_cast<usize>(i2)];
     std::vector<WriteReq> reqs;
     for (u64 t = 0; t < c; ++t) {
-      segs.emplace_back(ctx, static_cast<u32>((i2 + t) % ctx.D()));
+      segs.emplace_back(ctx, part_start(i2, t));
     }
     for (u64 b = 0; b < p / rpb; ++b) {
       for (u64 t = 0; t < c; ++t) {

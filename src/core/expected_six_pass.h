@@ -3,11 +3,11 @@
 // in an expected two passes instead of ThreePass2's three, sorting
 // M^2/lambda records in six expected passes.
 //
-//   passes 1-2: form M-record runs (1 pass); per segment, shuffle-clean
-//               the segment's runs into one sorted sequence, emitted
-//               through an UnshuffleSink into sqrt(M) outer parts (1
-//               pass, verified on line; +3-pass deterministic fallback
-//               per segment on violation);
+//   passes 1-2: form M-record runs one segment at a time (1 pass); per
+//               segment, shuffle-clean the segment's runs into one sorted
+//               sequence, emitted through an UnshuffleSink into sqrt(M)
+//               outer parts (1 pass, verified on line; +3-pass
+//               deterministic fallback per segment on violation);
 //   passes 3-5: the outer group merges;  pass 6: final shuffle-cleanup.
 #pragma once
 
@@ -73,10 +73,8 @@ SortResult<R> expected_six_pass_sort(PdmContext& ctx,
   ReportBuilder rb(ctx, "ExpectedSixPass", n, mem, rpb);
   bool any_fallback = false;
 
-  // Pass 1: M-record runs over the whole input.
-  RunFormationOptions fopt;
-  fopt.run_len = mem;
-  auto runs = form_runs_flat<R>(ctx, input, fopt, cmp);
+  // Pass 1: M-record runs, formed one segment at a time.
+  const auto runs = form_segment_runs<R>(ctx, input, mem, seg_len, cmp);
   const u64 runs_per_seg = seg_len / mem;
 
   // Pass 2 (expected): per segment, shuffle-clean into the outer parts.

@@ -2,8 +2,9 @@
 // records in three expected passes.
 //
 //   passes 1-2: ExpectedTwoPass per segment of length L ~ cap2(M, alpha)
-//               (run formation is one pass over the whole input; the
-//               per-segment shuffle-cleanups together are the second);
+//               (run formation, one segment at a time, is one pass over
+//               the whole input; the per-segment shuffle-cleanups together
+//               are the second);
 //   pass 3:     shuffle the segment outputs and window-clean, verified on
 //               line (Lemma 4.2 with q = L bounds the displacement by M
 //               whenever N <= cap_expected_three_pass).
@@ -70,20 +71,20 @@ SortResult<R> expected_three_pass_sort(PdmContext& ctx,
   ReportBuilder rb(ctx, "ExpectedThreePass", n, mem, rpb);
   bool any_fallback = false;
 
-  // Pass 1: M-record runs over the whole input.
-  RunFormationOptions fopt;
-  fopt.run_len = mem;
-  auto runs = form_runs_flat<R>(ctx, input, fopt, cmp);
+  // Pass 1: M-record runs, formed one segment at a time.
+  const auto runs = form_segment_runs<R>(ctx, input, mem, seg_len, cmp);
   const u64 runs_per_seg = seg_len / mem;
 
   // Pass 2 (expected): per segment, shuffle-clean into one sorted run.
+  // The sorted segments are read together by pass 3.
   std::vector<StripedRun<R>> seg_sorted;
   seg_sorted.reserve(static_cast<usize>(segments));
   for (u64 g = 0; g < segments; ++g) {
     std::span<const StripedRun<R>> seg_runs(
         runs.data() + g * runs_per_seg, static_cast<usize>(runs_per_seg));
     const u64 chunk = round_down(mem, runs_per_seg * rpb);
-    StripedRun<R> sorted(ctx, static_cast<u32>(g % ctx.D()));
+    const u32 start = spread_start_disk(g, segments, ctx.D());
+    StripedRun<R> sorted(ctx, start);
     bool ok = false;
     {
       RunSink<R> sink(sorted);
@@ -97,7 +98,7 @@ SortResult<R> expected_three_pass_sort(PdmContext& ctx,
       any_fallback = true;
       PDM_LOG(LogLevel::kInfo, "ExpectedThreePass: segment " << g
                                 << " fell back to lmm_merge");
-      sorted = StripedRun<R>(ctx, static_cast<u32>(g % ctx.D()));
+      sorted = StripedRun<R>(ctx, start);
       RunSink<R> sink(sorted);
       LmmOptions lopt;
       lopt.mem_records = mem;

@@ -34,7 +34,7 @@ CleanupOutcome lmm_outer_tail(PdmContext& ctx, const FormedRuns<R>& parts,
                 "ragged outer part matrix");
       group.push_back(parts[i][j]);  // copy of run metadata (blocks shared)
     }
-    StripedRun<R> qj(ctx, static_cast<u32>(j % ctx.D()));
+    StripedRun<R> qj(ctx, spread_start_disk(j, m, ctx.D()));  // stage C
     RunSink<R> qsink(qj);
     const CleanupOutcome oc = lmm_merge<R>(
         ctx, std::span<const StripedRun<R>>(group.data(), group.size()),

@@ -38,8 +38,9 @@ namespace pdm {
 /// tail cannot be block-reversed; it is emitted as its own mini-run of
 /// fewer than B records (at most one per down run).
 ///
-/// Run i starts on disk (i * start_stride) mod D, the same staggering as
-/// the fixed path, so cleanup/merge reads spread over all disks.
+/// Run i starts on disk (i * start_stride) mod D: a coprime stride
+/// staggers the starts over all disks without knowing the run count in
+/// advance, which the fixed path's spread_start_disk rule needs.
 template <Record R, class Cmp = std::less<R>>
 std::vector<StripedRun<R>> replacement_select_runs(
     PdmContext& ctx, const StripedRun<R>& input, u64 heap_records,

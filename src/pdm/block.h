@@ -71,4 +71,14 @@ struct WriteReq {
   }
 };
 
+/// Start disk of run i (i < k) when a later pass reads k runs together:
+/// floor(i * D / k). Any c consecutive disks (cyclically) then hold the
+/// starts of at most ceil(k * c / D) runs, so a pass that reads c
+/// consecutive blocks of every run puts at most ceil(k * c / D) blocks on
+/// any disk — the minimum, for every c. This is the layout rule for runs
+/// formed, merged or written for a pass that reads them side by side.
+constexpr u32 spread_start_disk(u64 i, u64 k, u32 num_disks) {
+  return static_cast<u32>(i * num_disks / k);
+}
+
 }  // namespace pdm

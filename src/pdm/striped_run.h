@@ -141,50 +141,48 @@ class StripedRun {
     return WriteReq{ref, reinterpret_cast<const std::byte*>(src)};
   }
 
-  /// Appends records with write combining: completed blocks are held in
-  /// the tail buffer until at least D of them accumulate, then written in
-  /// one batched parallel operation — so even record-at-a-time appends
-  /// reach full disk parallelism. Call finish() to flush. Writes go
-  /// through the context's write-behind ring, so with the async pipeline
-  /// enabled the caller's buffer is copied and the transfer overlaps with
-  /// whatever the caller does next.
+  /// Appends records with write combining: the run is written in whole
+  /// stripes of D blocks, and whatever does not fill one is carried in the
+  /// tail buffer (fewer than D blocks) until a later append completes the
+  /// stripe or finish() writes it. Every write but the last then moves
+  /// exactly one block per disk, so a run's writes cost ceil(blocks / D)
+  /// parallel ops however its appends are sliced. Writes go through the
+  /// context's write-behind ring, so with the async pipeline enabled the
+  /// caller's buffer is copied and the transfer overlaps with whatever the
+  /// caller does next.
   void append(std::span<const R> recs) {
     PDM_CHECK(!finished_, "append after finish()");
     if (recs.empty()) return;
     size_ += recs.size();
-    const usize flush_records = flush_blocks() * rpb_;
-    // Fast path: large append with an empty tail writes directly from the
-    // caller's memory without the staging copy.
-    if (tail_.empty() && recs.size() >= flush_records) {
-      const usize full = recs.size() / rpb_;
-      std::vector<WriteReq> reqs;
-      reqs.reserve(full);
-      for (usize b = 0; b < full; ++b) {
-        reqs.push_back(WriteReq{
-            alloc_next_block(),
-            reinterpret_cast<const std::byte*>(recs.data() + b * rpb_)});
-      }
-      ctx_->write_batch(reqs);
-      tail_.assign(recs.begin() + static_cast<std::ptrdiff_t>(full * rpb_),
+    const usize stripe = stripe_records();
+    // Fast path: with an empty tail, whole stripes are written directly
+    // from the caller's memory without the staging copy.
+    if (tail_.empty() && recs.size() >= stripe) {
+      const usize direct = round_down(recs.size(), stripe);
+      write_blocks(recs.data(), direct / rpb_);
+      tail_.assign(recs.begin() + static_cast<std::ptrdiff_t>(direct),
                    recs.end());
       return;
     }
     tail_.insert(tail_.end(), recs.begin(), recs.end());
-    if (tail_.size() >= flush_records) flush_full_blocks();
+    if (tail_.size() >= stripe) {
+      const usize whole = round_down(tail_.size(), stripe);
+      write_blocks(tail_.data(), whole / rpb_);
+      tail_.erase(tail_.begin(),
+                  tail_.begin() + static_cast<std::ptrdiff_t>(whole));
+    }
   }
 
-  /// Flushes any buffered blocks plus a zero-padded partial tail block
-  /// (the logical size excludes the padding), and recycles unconsumed
-  /// extent tails to the allocator. Idempotent.
+  /// Writes the carried blocks and the zero-padded partial last block (the
+  /// logical size excludes the padding) as one batch — fewer than D + 1
+  /// blocks, so one parallel op — and recycles unconsumed extent tails to
+  /// the allocator. Idempotent.
   void finish() {
     if (finished_) return;
-    if (tail_.size() >= rpb_) flush_full_blocks();
     finished_ = true;
     if (!tail_.empty()) {
-      tail_.resize(rpb_, R{});
-      WriteReq req{alloc_next_block(),
-                   reinterpret_cast<const std::byte*>(tail_.data())};
-      ctx_->write_batch(std::span<const WriteReq>(&req, 1));
+      tail_.resize(static_cast<usize>(round_up(tail_.size(), rpb_)), R{});
+      write_blocks(tail_.data(), tail_.size() / rpb_);
       tail_.clear();
     }
     release_extent_tails();
@@ -239,21 +237,19 @@ class StripedRun {
   }
 
  private:
-  usize flush_blocks() const { return std::max<usize>(1, ctx_->D()); }
+  usize stripe_records() const { return usize{ctx_->D()} * rpb_; }
 
-  void flush_full_blocks() {
-    const usize full = tail_.size() / rpb_;
-    if (full == 0) return;
+  /// Writes `count` whole blocks from `src` as the run's next blocks, in
+  /// one batch.
+  void write_blocks(const R* src, usize count) {
     std::vector<WriteReq> reqs;
-    reqs.reserve(full);
-    for (usize b = 0; b < full; ++b) {
+    reqs.reserve(count);
+    for (usize b = 0; b < count; ++b) {
       reqs.push_back(WriteReq{
           alloc_next_block(),
-          reinterpret_cast<const std::byte*>(tail_.data() + b * rpb_)});
+          reinterpret_cast<const std::byte*>(src + b * rpb_)});
     }
     ctx_->write_batch(reqs);
-    tail_.erase(tail_.begin(),
-                tail_.begin() + static_cast<std::ptrdiff_t>(full * rpb_));
   }
 
   BlockRef alloc_next_block() {

@@ -103,7 +103,7 @@ CleanupOutcome lmm_merge_from_parts(PdmContext& ctx,
   std::vector<StripedRun<R>> q;
   q.reserve(m);
   for (usize j = 0; j < m; ++j) {
-    q.emplace_back(ctx, static_cast<u32>(j % ctx.D()));
+    q.emplace_back(ctx, spread_start_disk(j, m, ctx.D()));  // pass C reads
   }
   {
     const u64 group_sz = l * part_len;
@@ -238,23 +238,29 @@ CleanupOutcome lmm_merge(PdmContext& ctx, std::span<const StripedRun<R>> runs,
       }
     };
     if (run_len <= load_sz) {
-      const u64 runs_per_load = std::max<u64>(1, load_sz / run_len);
-      for (usize i0 = 0; i0 < l; i0 += runs_per_load) {
-        const usize cnt =
-            static_cast<usize>(std::min<u64>(runs_per_load, l - i0));
+      // Runs are loaded in a *strided* order (i = r, r+S, r+2S, ...), as
+      // pass B batches its groups: runs formed for a shuffle start on
+      // evenly spaced disks, so consecutive runs sit on neighbouring disks
+      // and a load of consecutive short runs would pile onto a few.
+      const usize runs_per_load =
+          static_cast<usize>(std::max<u64>(1, load_sz / run_len));
+      const usize stride = ceil_div(l, runs_per_load);
+      for (usize r = 0; r < stride; ++r) {
+        std::vector<usize> batch;
+        for (usize i = r; i < l; i += stride) batch.push_back(i);
         std::vector<ReadReq> rreqs;
-        rreqs.reserve(cnt * static_cast<usize>(run_len / rpb));
-        for (usize c = 0; c < cnt; ++c) {
+        rreqs.reserve(batch.size() * static_cast<usize>(run_len / rpb));
+        for (usize c = 0; c < batch.size(); ++c) {
           for (u64 b = 0; b < run_len / rpb; ++b) {
-            rreqs.push_back(
-                runs[i0 + c].read_req(b, load.data() + c * run_len + b * rpb));
+            rreqs.push_back(runs[batch[c]].read_req(
+                b, load.data() + c * run_len + b * rpb));
           }
         }
         ctx.io().read(rreqs);
         std::vector<WriteReq> wreqs;
-        wreqs.reserve(cnt * static_cast<usize>(run_len / rpb));
-        for (usize c = 0; c < cnt; ++c) {
-          unshuffle_and_stage(i0 + c, run_len, load.data() + c * run_len,
+        wreqs.reserve(batch.size() * static_cast<usize>(run_len / rpb));
+        for (usize c = 0; c < batch.size(); ++c) {
+          unshuffle_and_stage(batch[c], run_len, load.data() + c * run_len,
                               scatter.data() + c * run_len, wreqs);
         }
         ctx.io().write(wreqs);

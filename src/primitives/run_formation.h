@@ -53,18 +53,20 @@ struct RunFormationOptions {
 
 /// parts[i][j] = part j of sorted run i (stride-m decimation, itself
 /// sorted). With unshuffle_parts == 1 each inner vector has one entry: the
-/// whole sorted run. Part (i, j) starts on disk (i + j) mod D so that the
-/// later group-merge pass, which reads part j of every run together,
-/// touches all disks.
+/// whole sorted run; the l runs of one call start on disks
+/// spread_start_disk(i, l, D), so the cleanup pass that reads a few blocks
+/// of every run together spreads them evenly over the disks. Part (i, j)
+/// starts on disk (i + j) mod D so that the later group-merge pass, which
+/// reads part j of every run together, touches all disks.
 template <Record R>
 using FormedRuns = std::vector<std::vector<StripedRun<R>>>;
 
-/// Start-disk stride for flat (unsplit) runs: run i starts on disk
-/// (i * stride) mod D. Coprime to D, so the map is a bijection for every
-/// D — D/2+1 alone is even for D = 6 or 10 (colliding start disks), and
-/// odd is still not enough for D = 15 (gcd(9, 15) = 3). For power-of-two
-/// D the value is unchanged from D/2+1, preserving historical layouts.
-/// Exposed so adversarial generators can target the layout.
+/// Start-disk stride for replacement selection's runs, whose count is not
+/// known when each run opens: run i starts on disk (i * stride) mod D.
+/// Coprime to D, so the map is a bijection for every D — D/2+1 alone is
+/// even for D = 6 or 10 (colliding start disks), and odd is still not
+/// enough for D = 15 (gcd(9, 15) = 3). For power-of-two D the value is
+/// D/2+1, preserving historical layouts.
 inline u32 flat_run_start_stride(u32 num_disks) {
   if (num_disks < 4) return 1;
   u32 s = (num_disks / 2 + 1) | 1;
@@ -104,7 +106,6 @@ FormedRuns<R> form_sorted_runs(PdmContext& ctx, const StripedRun<R>& input,
     return wrapped;
   }
   const u64 num_runs = ceil_div(n, run_len);
-  const u64 blocks_per_run = run_len / rpb;
   trace::TraceSpan trace_span("pass", "run_formation", "records", n);
 
   TrackedBuffer<R> load(ctx.budget(), static_cast<usize>(run_len));
@@ -159,12 +160,7 @@ FormedRuns<R> form_sorted_runs(PdmContext& ctx, const StripedRun<R>& input,
 
     std::vector<StripedRun<R>>& runs_i = out.emplace_back();
     if (m == 1) {
-      // Staggered start disks: an odd stride makes i -> start_disk a
-      // bijection mod D (D is a power of two in the standard geometry),
-      // so a cleanup chunk that reads a few blocks from every run spreads
-      // evenly even when the run count does not divide M/B.
-      const u32 stride = flat_run_start_stride(ctx.D());
-      runs_i.emplace_back(ctx, static_cast<u32>((i * stride) % ctx.D()));
+      runs_i.emplace_back(ctx, spread_start_disk(i, num_runs, ctx.D()));
       runs_i[0].append(std::span<const R>(buf, static_cast<usize>(nrec)));
       runs_i[0].finish();
       cur ^= 1;
@@ -225,7 +221,6 @@ FormedRuns<R> form_sorted_runs(PdmContext& ctx, const StripedRun<R>& input,
     }
     ctx.write_batch(reqs);
     for (auto& part : runs_i) part.finish();
-    (void)blocks_per_run;
     cur ^= 1;
   }
   return out;
@@ -243,6 +238,32 @@ std::vector<StripedRun<R>> form_runs_flat(PdmContext& ctx,
   flat.reserve(formed.size());
   for (auto& f : formed) flat.push_back(std::move(f[0]));
   return flat;
+}
+
+/// Flat runs of run_len records formed one segment of seg_len records at
+/// a time, for passes that read one segment's runs together (the
+/// per-segment cleanups of ExpectedThreePass and ExpectedSixPass): each
+/// segment's runs spread over all the disks, where one call over the
+/// whole input would squeeze each segment onto 1/segments of them.
+template <Record R, class Cmp = std::less<R>>
+std::vector<StripedRun<R>> form_segment_runs(PdmContext& ctx,
+                                             const StripedRun<R>& input,
+                                             u64 run_len, u64 seg_len,
+                                             Cmp cmp = {}) {
+  PDM_CHECK(seg_len > 0 && input.size() % seg_len == 0,
+            "segments must tile the input");
+  std::vector<StripedRun<R>> runs;
+  runs.reserve(static_cast<usize>(ceil_div(input.size(), run_len)));
+  for (u64 first = 0; first < input.size(); first += seg_len) {
+    RunFormationOptions fopt;
+    fopt.run_len = run_len;
+    fopt.first_record = first;
+    fopt.num_records = seg_len;
+    for (auto& r : form_runs_flat<R>(ctx, input, fopt, cmp)) {
+      runs.push_back(std::move(r));
+    }
+  }
+  return runs;
 }
 
 }  // namespace pdm

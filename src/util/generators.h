@@ -13,6 +13,7 @@
 #include <numeric>
 #include <vector>
 
+#include "pdm/block.h"
 #include "pdm/record.h"
 #include "util/common.h"
 #include "util/math_util.h"
@@ -195,17 +196,17 @@ inline std::vector<u64> make_ones_block_first(usize n, usize ones) {
 /// consume blocks in "waves" that all live on the same disk, defeating
 /// forecasting prefetch at ANY lookahead depth.
 ///
-/// Layout assumption: run i starts on disk (i*stride) mod D and its block
-/// b sits on disk (start_i + b) mod D (the StripedRun layout; stride from
-/// flat_run_start_stride). Construction: run r first consumes a prologue
-/// of (D - start_r) mod D blocks of globally-tiny keys, aligning every
-/// run's next block on disk 0; thereafter keys interleave round-robin by
-/// wave, so in wave k all runs need their block on disk k mod D
-/// simultaneously — a 1-block-per-op schedule no prefetch policy can
-/// avoid. Oblivious algorithms are unaffected by construction.
+/// Layout assumption: run i starts on disk spread_start_disk(i, num_runs,
+/// D) and its block b sits on disk (start_i + b) mod D — the layout
+/// form_sorted_runs gives the runs of one call. Construction: run r first
+/// consumes a prologue of (D - start_r) mod D blocks of globally-tiny
+/// keys, aligning every run's next block on disk 0; thereafter keys
+/// interleave round-robin by wave, so in wave k all runs need their block
+/// on disk k mod D simultaneously — a 1-block-per-op schedule no prefetch
+/// policy can avoid. Oblivious algorithms are unaffected by construction.
 inline std::vector<u64> make_merge_adversary(u64 num_runs, u64 run_len,
                                              usize records_per_block,
-                                             u32 num_disks, u32 stride) {
+                                             u32 num_disks) {
   const u64 rpb = records_per_block;
   PDM_CHECK(run_len % rpb == 0, "run_len must be block aligned");
   const u64 blocks_per_run = run_len / rpb;
@@ -213,7 +214,7 @@ inline std::vector<u64> make_merge_adversary(u64 num_runs, u64 run_len,
   v.reserve(static_cast<usize>(num_runs * run_len));
   const u64 main_offset = num_runs * num_disks * rpb * 2;
   for (u64 r = 0; r < num_runs; ++r) {
-    const u32 start = static_cast<u32>((r * stride) % num_disks);
+    const u32 start = spread_start_disk(r, num_runs, num_disks);
     const u64 prologue = (num_disks - start) % num_disks;
     for (u64 b = 0; b < blocks_per_run; ++b) {
       for (u64 t = 0; t < rpb; ++t) {

@@ -210,8 +210,7 @@ TEST(MultiwaySort, AdversarialInputDefeatsAnyLookahead) {
   const auto g = Geometry::square(4096);  // B = 64, D = 16
   const u64 runs = 8;
   const u64 n = runs * 4096;
-  auto data = make_merge_adversary(runs, 4096, 64, g.disks,
-                                   flat_run_start_stride(g.disks));
+  auto data = make_merge_adversary(runs, 4096, 64, g.disks);
   double util_adv, util_rand;
   {
     auto ctx = test::make_ctx<u64>(g);

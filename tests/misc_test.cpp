@@ -174,8 +174,7 @@ TEST(CapacityExtra, LowerBoundMonotoneInN) {
 
 TEST(GeneratorsExtra, MergeAdversaryIsRunSorted) {
   const u64 runs = 4, run_len = 256;
-  auto v = make_merge_adversary(runs, run_len, 16, 8,
-                                flat_run_start_stride(8));
+  auto v = make_merge_adversary(runs, run_len, 16, 8);
   ASSERT_EQ(v.size(), runs * run_len);
   // Each run-length segment must be sorted (so run formation yields
   // exactly the designed runs), and all keys distinct.

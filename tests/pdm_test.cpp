@@ -175,6 +175,29 @@ TEST(StripedRun, FullBlockAppendIsSingleBatch) {
   EXPECT_NEAR(ctx->stats().utilization(), 4.0, 1e-9);
 }
 
+// Appends are written in whole stripes of D blocks and the rest is
+// carried, so a run's writes cost ceil(blocks / D) ops however its appends
+// are sliced: here 6-block appends (never a stripe multiple) of a
+// 4-disk run, then finish() writes the carried blocks and the padded last
+// block in one batch. Writing each append as its own batch would cost 2
+// ops per append.
+TEST(StripedRun, SlicedAppendsWriteWholeStripes) {
+  auto ctx = make_memory_context(4, 8 * sizeof(u64));
+  StripedRun<u64> run(*ctx, 1);
+  std::vector<u64> data(8 * 6 * 5 + 3);  // 30 blocks + 3 records
+  std::iota(data.begin(), data.end(), u64{0});
+  for (usize at = 0; at < data.size(); at += 8 * 6) {
+    const usize len = std::min<usize>(8 * 6, data.size() - at);
+    run.append(std::span<const u64>(data.data() + at, len));
+  }
+  EXPECT_EQ(ctx->stats().write_ops, 7u);  // 28 blocks in whole stripes
+  run.finish();
+  EXPECT_EQ(run.num_blocks(), 31u);
+  EXPECT_EQ(ctx->stats().write_ops, 8u);  // ceil(31 / 4)
+  EXPECT_EQ(ctx->stats().blocks_written, 31u);
+  EXPECT_EQ(run.read_all(), data);
+}
+
 TEST(StripedRun, ReadBlocksBatched) {
   auto ctx = make_memory_context(4, 4 * sizeof(u64));
   std::vector<u64> data(4 * 12);

@@ -2,6 +2,7 @@
 
 #include <numeric>
 
+#include "core/expected_two_pass.h"
 #include "primitives/cleanup.h"
 #include "primitives/lmm_merge.h"
 #include "primitives/multiway.h"
@@ -511,6 +512,159 @@ TEST(Multiway, NaiveLookaheadHasLowUtilization) {
   const double read_util =
       static_cast<double>(s.blocks_read) / static_cast<double>(s.read_ops);
   EXPECT_LT(read_util, 2.5) << "naive merge should not parallelize reads";
+}
+
+// ------------------------------------------------------------ pass layout
+
+// spread_start_disk is the one layout rule for runs a later pass reads
+// together. Block t of run i sits on disk (start_i + t) mod D, so a pass
+// that reads c consecutive blocks of each of k runs loads every disk with
+// the runs whose c-block window covers it. The fullest disk must get
+// exactly ceil(k * c / D) blocks, the minimum, for every k and c.
+TEST(PassLayout, SpreadStartsFillTheFullestDiskMinimally) {
+  for (u32 d : {4u, 6u, 15u, 32u, 128u}) {
+    for (u64 k = 1; k <= 300; ++k) {
+      // Runs whose window starts on each disk.
+      std::vector<u64> starts(d, 0);
+      for (u64 i = 0; i < k; ++i) ++starts[spread_start_disk(i, k, d)];
+      for (u64 c = 1; c <= 2 * u64{d}; ++c) {
+        // Load of disk x: every run wraps c / D times, plus the runs whose
+        // start lies in the c mod D disks ending at x (cyclically).
+        const u64 rem = c % d;
+        u64 window = 0;
+        for (u64 x = 0; x < rem; ++x) window += starts[d - 1 - x];
+        u64 fullest = 0;
+        for (u32 x = 0; x < d; ++x) {
+          if (rem > 0) {
+            window += starts[x];
+            window -= starts[(x + d - rem) % d];
+          }
+          fullest = std::max(fullest, k * (c / d) + window);
+        }
+        ASSERT_EQ(fullest, ceil_div(k * c, d))
+            << "D=" << d << " k=" << k << " c=" << c;
+      }
+    }
+  }
+}
+
+struct PhaseOps {
+  u64 formation_reads, formation_writes, cleanup_reads, cleanup_writes;
+  friend bool operator==(const PhaseOps&, const PhaseOps&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const PhaseOps& p) {
+  return os << "{formation " << p.formation_reads << "/" << p.formation_writes
+            << ", cleanup " << p.cleanup_reads << "/" << p.cleanup_writes
+            << "}";
+}
+
+// ExpectedTwoPass's two passes, phase by phase, on l runs of M records at
+// the paper's geometry B = sqrt(M), D = sqrt(M)/4 (M = 2^14: B = 128,
+// D = 32, so one pass is 4 * l ops).
+PhaseOps expected_two_pass_phase_ops(u64 l) {
+  const auto g = Geometry::square(u64{1} << 14);
+  auto ctx = test::make_ctx<u64>(g);
+  Rng rng(7);
+  auto data = make_keys(static_cast<usize>(l * g.mem), Dist::kPermutation,
+                        rng);
+  auto in = test::stage_input<u64>(*ctx, data);
+  RunFormationOptions fopt;
+  fopt.run_len = g.mem;
+  auto runs = form_runs_flat<u64>(*ctx, in, fopt);
+  const IoStats formed = ctx->stats();
+  StripedRun<u64> out(*ctx, 0);
+  RunSink<u64> sink(out);
+  const u64 chunk = round_down(g.mem, l * g.rpb);
+  ShuffleChunkSource<u64> source(*ctx, std::span<const StripedRun<u64>>(runs),
+                                 chunk);
+  CleanupOptions copt;
+  copt.chunk_records = chunk;
+  EXPECT_TRUE(streamed_cleanup<u64>(*ctx, source, sink, copt).ok);
+  const IoStats cleaned = ctx->stats();
+  test::expect_sorted_output<u64>(out, data);
+  return {formed.read_ops, formed.write_ops,
+          cleaned.read_ops - formed.read_ops,
+          cleaned.write_ops - formed.write_ops};
+}
+
+// paper_square's shape: 16 runs, and a cleanup chunk of 8 blocks per run
+// = 128 blocks, 4 per disk. The parent layout (run i on disk (17 i) mod
+// 32) put 5 on some disks: cleanup reads were 80.
+TEST(PassLayout, PaperSquareShapeOpsPerPhase) {
+  EXPECT_EQ(expected_two_pass_phase_ops(16), (PhaseOps{64, 64, 64, 64}));
+}
+
+// e13's default N at this M: 22 runs, a chunk of 5 blocks per run = 110
+// blocks, ceil(110 / 32) = 4 ops for each of 25 chunks plus 3 for the
+// last. The parent read 128 and, writing each 110-block window as its own
+// batch, wrote 102; whole-stripe writes take the minimum 88.
+TEST(PassLayout, E13ShapeOpsPerPhase) {
+  EXPECT_EQ(expected_two_pass_phase_ops(22), (PhaseOps{88, 88, 103, 88}));
+}
+
+// The mesh front door on sorted input takes the LMM fallback over sqrt(M)
+// = 128 runs of 8 blocks, which pass A loads 16 runs at a time. Evenly
+// spread starts put consecutive runs on neighbouring disks, so pass A
+// loads runs r, r+8, r+16, ... Pass A's ops are lmm_merge's minus passes
+// B and C, which cost the same over the parts form_sorted_runs writes
+// directly (part (i, j) on disk (i + j) mod D either way).
+TEST(PassLayout, MeshDoorFallbackOps) {
+  const auto g = Geometry::square(u64{1} << 14);
+  const u64 l = isqrt(g.mem);
+  const u64 run_len = 8 * g.rpb;
+  std::vector<u64> data(static_cast<usize>(l * run_len));
+  std::iota(data.begin(), data.end(), u64{0});
+  {
+    auto ctx = test::make_ctx<u64>(g);
+    auto in = test::stage_input<u64>(*ctx, data);
+    ExpectedTwoPassOptions opt;
+    opt.mem_records = g.mem;
+    auto res = expected_two_pass_mesh_sort<u64>(*ctx, in, opt);
+    EXPECT_TRUE(res.report.fallback_taken);
+    EXPECT_EQ(res.output.read_all(), data);
+    // Parent layout: 276 / 260.
+    EXPECT_EQ(res.report.io.read_ops, 236u);
+    EXPECT_EQ(res.report.io.write_ops, 228u);
+  }
+  RunFormationOptions fopt;
+  fopt.run_len = run_len;
+  const u64 m = detail::choose_lmm_m(l, run_len, g.mem, g.rpb);
+  LmmOptions lopt;
+  lopt.mem_records = g.mem;
+  lopt.m = m;
+  IoStats abc, bc;
+  {
+    auto ctx = test::make_ctx<u64>(g);
+    auto in = test::stage_input<u64>(*ctx, data);
+    auto runs = form_runs_flat<u64>(*ctx, in, fopt);
+    ctx->io().reset_stats();
+    StripedRun<u64> out(*ctx, 0);
+    RunSink<u64> sink(out);
+    EXPECT_TRUE(lmm_merge<u64>(*ctx, std::span<const StripedRun<u64>>(runs),
+                               sink, lopt)
+                    .ok);
+    abc = ctx->stats();
+    EXPECT_EQ(out.read_all(), data);
+  }
+  {
+    auto ctx = test::make_ctx<u64>(g);
+    auto in = test::stage_input<u64>(*ctx, data);
+    fopt.unshuffle_parts = static_cast<u32>(m);
+    auto parts = form_sorted_runs<u64>(*ctx, in, fopt);
+    ctx->io().reset_stats();
+    StripedRun<u64> out(*ctx, 0);
+    RunSink<u64> sink(out);
+    EXPECT_TRUE(lmm_merge_from_parts<u64>(*ctx, parts, sink, lopt).ok);
+    bc = ctx->stats();
+  }
+  // One pass over l * 8 blocks is 32 ops. Parent layout: passes B and C
+  // read 96 and wrote 64 (Q_j on disk j mod D), pass A read 40 and wrote
+  // 64 (consecutive runs per load).
+  EXPECT_EQ(bc.read_ops, 64u);
+  EXPECT_EQ(bc.write_ops, 64u);
+  EXPECT_EQ(abc.read_ops - bc.read_ops, 32u);
+  EXPECT_EQ(abc.write_ops - bc.write_ops, 32u);
 }
 
 }  // namespace
