@@ -301,8 +301,8 @@ TEST(CpuBudgetInvariance, InternalSort)
 TEST(CpuBudgetInvariance, ExpectedTwoPass)
 {
   expect_budget_invariant(4 * kBigMem,
-      {{0xc91f42e38a56fbdc, 48, 32, 1536, 1024, 672, 224, 0xf395f7c94ce961a5},
-       {0xc91f42e38a56fbdc, 48, 32, 1536, 1024, 672, 224, 0xeeaa940484b5dfa5}},
+      {{0xc91f42e38a56fbdc, 48, 32, 1536, 1024, 672, 224, 0x6b0c36cbbf0356a5},
+       {0xc91f42e38a56fbdc, 48, 32, 1536, 1024, 672, 224, 0x424efde0bb4526a5}},
       [](PdmContext& ctx, const StripedRun<u64>& in) {
     ExpectedTwoPassOptions opt;
     opt.mem_records = kBigMem;
@@ -313,8 +313,8 @@ TEST(CpuBudgetInvariance, ExpectedTwoPass)
 TEST(CpuBudgetInvariance, ThreePassLmm)
 {
   expect_budget_invariant(8 * kBigMem,
-      {{0x79d29bc41a32536f, 128, 96, 4096, 3072, 2336, 2272, 0x4d563f9b87ae53e5},
-       {0x79d29bc41a32536f, 128, 96, 4096, 3072, 2336, 2272, 0x38bd395771bcd2e5}},
+      {{0x79d29bc41a32536f, 128, 96, 4096, 3072, 2336, 2272, 0xcc80080708e1eba5},
+       {0x79d29bc41a32536f, 128, 96, 4096, 3072, 2336, 2272, 0xed52a0ea7a1129a5}},
       [](PdmContext& ctx, const StripedRun<u64>& in) {
     ThreePassLmmOptions opt;
     opt.mem_records = kBigMem;
@@ -341,8 +341,8 @@ TEST(CpuBudgetInvariance, Columnsort)
   // r = M rows so the column and window sorts clear the kernel threshold
   // (the derived geometry would pick r = 4096).
   expect_budget_invariant(8 * kBigMem,
-      {{0x79d29bc41a32536f, 192, 160, 4096, 3072, 2338, 2338, 0xd3aa4ee9b86e5455},
-       {0x79d29bc41a32536f, 192, 160, 4096, 3072, 2338, 2338, 0xd3aa4ee9b86e5455}},
+      {{0x79d29bc41a32536f, 128, 96, 4096, 3072, 2336, 2336, 0xe522deb5633f2065},
+       {0x79d29bc41a32536f, 128, 96, 4096, 3072, 2336, 2336, 0xe522deb5633f2065}},
       [](PdmContext& ctx, const StripedRun<u64>& in) {
     ColumnsortOptions opt;
     opt.mem_records = kBigMem;
@@ -355,8 +355,8 @@ TEST(CpuBudgetInvariance, Columnsort)
 TEST(CpuBudgetInvariance, ExpectedSixPass)
 {
   expect_budget_invariant(8 * kBigMem,
-      {{0x79d29bc41a32536f, 264, 224, 5120, 4096, 3360, 2528, 0xf616e10fcc87a925},
-       {0x79d29bc41a32536f, 264, 224, 5120, 4096, 3360, 2528, 0xfbcd09bc60ae1825}},
+      {{0x79d29bc41a32536f, 256, 224, 5120, 4096, 3360, 2528, 0xe6fd94f0b88eefe5},
+       {0x79d29bc41a32536f, 256, 224, 5120, 4096, 3360, 2528, 0x876fd921fa641ae5}},
       [](PdmContext& ctx, const StripedRun<u64>& in) {
     ExpectedSixPassOptions opt;
     opt.mem_records = kBigMem;
@@ -367,8 +367,8 @@ TEST(CpuBudgetInvariance, ExpectedSixPass)
 TEST(CpuBudgetInvariance, SevenPass)
 {
   expect_budget_invariant(kBigMem * isqrt(kBigMem),
-      {{0x46f8e42013eb2ab2, 3072, 2560, 98304, 81920, 57408, 45024, 0x57f872d6fcb3d265},
-       {0x46f8e42013eb2ab2, 3072, 2560, 98304, 81920, 57408, 45024, 0xceb9076eade07165}},
+      {{0x46f8e42013eb2ab2, 3072, 2560, 98304, 81920, 57408, 45024, 0x3c9361841d598665},
+       {0x46f8e42013eb2ab2, 3072, 2560, 98304, 81920, 57408, 45024, 0x3a82f8389c18e365}},
       [](PdmContext& ctx, const StripedRun<u64>& in) {
     SevenPassOptions opt;
     opt.mem_records = kBigMem;
@@ -379,8 +379,8 @@ TEST(CpuBudgetInvariance, SevenPass)
 TEST(CpuBudgetInvariance, OrderAdaptive)
 {
   expect_budget_invariant(8 * kBigMem,
-      {{0x79d29bc41a32536f, 595, 70, 3074, 2050, 1314, 2050, 0x5d46900003c676a9},
-       {0x79d29bc41a32536f, 595, 70, 3074, 2050, 1314, 2050, 0x74abf56219d2e5c9}},
+      {{0x79d29bc41a32536f, 595, 65, 3074, 2050, 1314, 2050, 0x5d46900003c676a9},
+       {0x79d29bc41a32536f, 595, 65, 3074, 2050, 1314, 2050, 0x74abf56219d2e5c9}},
       [](PdmContext& ctx, const StripedRun<u64>& in) {
     MultiwaySortOptions opt;
     opt.mem_records = kBigMem;
@@ -392,8 +392,8 @@ TEST(CpuBudgetInvariance, OrderAdaptive)
 TEST(CpuBudgetInvariance, ExpectedThreePass)
 {
   expect_budget_invariant(16 * kBigMem,
-      {{0x5633fb17fb939035, 272, 192, 8192, 6144, 3136, 1472, 0xe5736ca56dfa1ea5},
-       {0x5633fb17fb939035, 272, 192, 8192, 6144, 3136, 1472, 0x7126ba94fcf1af25}},
+      {{0x5633fb17fb939035, 256, 192, 8192, 6144, 3136, 1472, 0x93594dce6d6db5a5},
+       {0x5633fb17fb939035, 256, 192, 8192, 6144, 3136, 1472, 0xdf0f160ab0d966a5}},
       [](PdmContext& ctx, const StripedRun<u64>& in) {
     ExpectedThreePassOptions opt;
     opt.mem_records = kBigMem;
@@ -404,8 +404,8 @@ TEST(CpuBudgetInvariance, ExpectedThreePass)
 TEST(CpuBudgetInvariance, MultiwayMerge)
 {
   expect_budget_invariant(8 * kBigMem,
-      {{0x79d29bc41a32536f, 194, 64, 3072, 2048, 1312, 1280, 0x70ecd781df52de3},
-       {0x79d29bc41a32536f, 194, 64, 3072, 2048, 1312, 1280, 0x1923a5f11896e1e3}},
+      {{0x79d29bc41a32536f, 194, 64, 3072, 2048, 1312, 1280, 0x5ca3a7f67c897933},
+       {0x79d29bc41a32536f, 194, 64, 3072, 2048, 1312, 1280, 0xa7e2b1828c321533}},
       [](PdmContext& ctx, const StripedRun<u64>& in) {
     MultiwaySortOptions opt;
     opt.mem_records = kBigMem;
@@ -417,8 +417,8 @@ TEST(CpuBudgetInvariance, MultiwayMerge)
 TEST(CpuBudgetInvariance, IntegerSort)
 {
   expect_budget_invariant(4 * kBigMem,
-      {{0xfb93297686dfc9e6, 61, 56, 1567, 1055, 703, 713, 0x7eddc78dfd23f50},
-       {0xfb93297686dfc9e6, 61, 56, 1567, 1055, 703, 660, 0x275aaafa5bf5b8f0}},
+      {{0xfb93297686dfc9e6, 61, 52, 1567, 1055, 703, 745, 0x4121801e2dedd2e8},
+       {0xfb93297686dfc9e6, 61, 52, 1567, 1055, 703, 692, 0x308999cc7a73ee88}},
       [](PdmContext& ctx, const StripedRun<u64>& in) {
     IntegerSortOptions opt;
     opt.mem_records = kBigMem;
@@ -434,8 +434,8 @@ TEST(CpuBudgetInvariance, IntegerSort)
 TEST(CpuBudgetInvariance, RadixSort)
 {
   expect_budget_invariant(8 * kBigMem,
-      {{0x819214b6565e3c9d, 167, 155, 4283, 3259, 2305, 1437, 0x27394ed22a32bf98},
-       {0x819214b6565e3c9d, 167, 155, 4283, 3259, 2305, 1406, 0x18f73f315fc3325e}},
+      {{0x819214b6565e3c9d, 167, 152, 4283, 3259, 2305, 1529, 0x304530a5a319bce4},
+       {0x819214b6565e3c9d, 167, 152, 4283, 3259, 2305, 1498, 0x4464d37bb84a1a12}},
       [](PdmContext& ctx, const StripedRun<u64>& in) {
     RadixSortOptions opt;
     opt.mem_records = kBigMem;
@@ -457,8 +457,8 @@ TEST(CpuBudgetInvariance, AsyncPlusCpuMatchesSerial)
   // other — see async_io_test), so only records are compared there. Each
   // depth's fingerprint is pinned.
   const IoPin pins[2] = {
-      {0xf3f654c30f2e26bc, 48, 32, 1536, 1024, 672, 224, 0xf395f7c94ce961a5},
-      {0xf3f654c30f2e26bc, 48, 32, 1536, 1024, 672, 224, 0xeeaa940484b5dfa5}};
+      {0xf3f654c30f2e26bc, 48, 32, 1536, 1024, 672, 224, 0x6b0c36cbbf0356a5},
+      {0xf3f654c30f2e26bc, 48, 32, 1536, 1024, 672, 224, 0x424efde0bb4526a5}};
   std::vector<u64> out_any;
   for (usize depth : {usize{0}, usize{4}}) {
     std::vector<u64> out0;
