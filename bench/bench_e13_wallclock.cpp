@@ -1,7 +1,9 @@
 // E13 — end-to-end comparison on file-backed disks (the Dementiev-Sanders
 // contrast the paper cites): wall-clock, simulated disk time, and passes
 // for every sorter at a common N, plus the same on the in-memory backend
-// to separate CPU from I/O.
+// to separate CPU from I/O. The JSON section records every sorter's
+// passes per backend and the async overlap as a median over --repeats
+// interleaved sync/async pairs.
 #include "bench_support.h"
 #include "baselines/columnsort.h"
 #include "baselines/multiway_merge.h"
@@ -13,6 +15,7 @@
 #include "pdm/memory_backend.h"
 #include "util/trace.h"
 
+#include <algorithm>
 #include <filesystem>
 
 using namespace pdm;
@@ -20,9 +23,17 @@ using namespace pdm::bench;
 
 namespace {
 
+/// One row of the main table, kept for the JSON section.
+struct PassRow {
+  std::string backend;
+  std::string algorithm;
+  double passes;
+};
+
 template <class Fn>
-void run_case(Table& t, const char* name, PdmContext& ctx,
-              const std::vector<u64>& data, Fn&& fn) {
+void run_case(Table& t, std::vector<PassRow>& rows, const char* backend,
+              const char* name, PdmContext& ctx, const std::vector<u64>& data,
+              Fn&& fn) {
   auto in = stage<u64>(ctx, data);
   Timer timer;
   auto res = fn(ctx, in);
@@ -36,6 +47,13 @@ void run_case(Table& t, const char* name, PdmContext& ctx,
       .cell(mbps, 1)
       .cell(res.report.sim_seconds, 1)
       .cell(res.report.fallback_taken);
+  rows.push_back({backend, name, res.report.passes});
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const usize h = v.size() / 2;
+  return v.size() % 2 == 1 ? v[h] : 0.5 * (v[h - 1] + v[h]);
 }
 
 }  // namespace
@@ -62,7 +80,9 @@ int main(int argc, char** argv) {
             << fmt_count(n * sizeof(u64)) << "B), M = " << mem
             << ", B = " << g.rpb << ", D = " << g.disks << "\n";
 
+  std::vector<PassRow> pass_rows;
   for (bool file_backed : {false, true}) {
+    const char* backend = file_backed ? "files" : "memory";
     Table t({"algorithm", "passes", "wall_s", "MB/s", "sim_disk_s",
              "fallback"});
     auto make = [&]() -> std::unique_ptr<PdmContext> {
@@ -74,7 +94,7 @@ int main(int argc, char** argv) {
     };
     {
       auto ctx = make();
-      run_case(t, "ExpectedTwoPass", *ctx, data,
+      run_case(t, pass_rows, backend, "ExpectedTwoPass", *ctx, data,
                [&](PdmContext& c, const StripedRun<u64>& in) {
                  ExpectedTwoPassOptions o;
                  o.mem_records = mem;
@@ -83,7 +103,7 @@ int main(int argc, char** argv) {
     }
     {
       auto ctx = make();
-      run_case(t, "ThreePass2(LMM)", *ctx, data,
+      run_case(t, pass_rows, backend, "ThreePass2(LMM)", *ctx, data,
                [&](PdmContext& c, const StripedRun<u64>& in) {
                  ThreePassLmmOptions o;
                  o.mem_records = mem;
@@ -92,7 +112,7 @@ int main(int argc, char** argv) {
     }
     if (n == mem * g.rpb) {  // the mesh algorithm's exact shape
       auto ctx = make();
-      run_case(t, "ThreePass1(mesh)", *ctx, data,
+      run_case(t, pass_rows, backend, "ThreePass1(mesh)", *ctx, data,
                [&](PdmContext& c, const StripedRun<u64>& in) {
                  ThreePassMeshOptions o;
                  o.mem_records = mem;
@@ -101,7 +121,7 @@ int main(int argc, char** argv) {
     }
     if (columnsort_geometry(n, mem, g.rpb).ok) {
       auto ctx = make();
-      run_case(t, "Columnsort-CC", *ctx, data,
+      run_case(t, pass_rows, backend, "Columnsort-CC", *ctx, data,
                [&](PdmContext& c, const StripedRun<u64>& in) {
                  ColumnsortOptions o;
                  o.mem_records = mem;
@@ -110,7 +130,7 @@ int main(int argc, char** argv) {
     }
     {
       auto ctx = make();
-      run_case(t, "MultiwayMerge(la=2)", *ctx, data,
+      run_case(t, pass_rows, backend, "MultiwayMerge(la=2)", *ctx, data,
                [&](PdmContext& c, const StripedRun<u64>& in) {
                  MultiwaySortOptions o;
                  o.mem_records = mem;
@@ -118,8 +138,7 @@ int main(int argc, char** argv) {
                  return multiway_merge_sort<u64>(c, in, o);
                });
     }
-    std::cout << "-- backend: " << (file_backed ? "files" : "memory")
-              << " --\n";
+    std::cout << "-- backend: " << backend << " --\n";
     t.print(std::cout);
   }
   std::filesystem::remove_all("/tmp/pdmsort_bench_disks");
@@ -131,21 +150,36 @@ int main(int argc, char** argv) {
 
   // --- Async overlap: synchronous vs double-buffered pipeline under a
   // simulated per-op disk latency. Parallel-op accounting must be
-  // identical; only the wall clock may move.
+  // identical; only the wall clock may move. Each sorter runs --repeats
+  // sync/async pairs, the side that goes first alternating per pair; a
+  // single pair on a shared machine cannot say whether the pipeline helps.
   const u64 latency_us = cli.get_u64("latency_us", 200);
   const usize async_depth = static_cast<usize>(cli.get_u64("async_depth", 4));
-  const std::string json_out = cli.get("json_out", "BENCH_PR15.json");
+  const u64 repeats = std::max<u64>(1, cli.get_u64("repeats", 5));
+  const std::string json_out = cli.get("json_out", "BENCH_PR17.json");
   std::cout << "\n-- async pipeline overlap (memory backend, simulated "
-            << latency_us << "us/op latency, depth " << async_depth
-            << ") --\n";
+            << latency_us << "us/op latency, depth " << async_depth << ", "
+            << repeats << " interleaved pairs; medians) --\n";
   Table at({"algorithm", "passes", "sync_wall_s", "async_wall_s", "speedup",
-            "ops_equal"});
+            "min", "max", "ops_equal"});
   JsonWriter jw;
   jw.begin_obj();
   jw.key("m").value(mem);
   jw.key("n").value(n);
+  jw.key("b").value(g.rpb);
+  jw.key("d").value(u64{g.disks});
+  jw.key("passes").begin_arr();
+  for (const PassRow& r : pass_rows) {
+    jw.begin_obj();
+    jw.key("backend").value(r.backend);
+    jw.key("algorithm").value(r.algorithm);
+    jw.key("passes").value(r.passes);
+    jw.end_obj();
+  }
+  jw.end_arr();
   jw.key("latency_us").value(latency_us);
   jw.key("async_depth").value(u64{async_depth});
+  jw.key("repeats").value(repeats);
   jw.key("overlap").begin_arr();
   auto make_latency_ctx = [&]() {
     auto ctx = make_ctx(g);
@@ -154,35 +188,50 @@ int main(int argc, char** argv) {
     return ctx;
   };
   auto overlap_case = [&](const char* name, auto&& fn) {
-    double wall[2];
-    u64 ops[2];
-    for (int pass = 0; pass < 2; ++pass) {
-      auto ctx = make_latency_ctx();
-      auto in = stage<u64>(*ctx, data);
-      // The pipeline depth is the context's: sync pass keeps it off.
-      if (pass == 1) ctx->set_async_depth(async_depth);
-      auto res = fn(*ctx, in);
-      check_sorted<u64>(res.output, data.size());
-      wall[pass] = res.report.wall_seconds;
-      ops[pass] = res.report.io.total_ops();
+    std::vector<double> wall[2], speedup;
+    std::vector<u64> ops;  // every run's, sync and async
+    for (u64 rep = 0; rep < repeats; ++rep) {
+      double pair_wall[2];
+      for (int k = 0; k < 2; ++k) {
+        const int side = (k + static_cast<int>(rep % 2)) % 2;  // 1 = async
+        auto ctx = make_latency_ctx();
+        auto in = stage<u64>(*ctx, data);
+        // The pipeline depth is the context's: the sync side keeps it off.
+        if (side == 1) ctx->set_async_depth(async_depth);
+        auto res = fn(*ctx, in);
+        check_sorted<u64>(res.output, data.size());
+        pair_wall[side] = res.report.wall_seconds;
+        ops.push_back(res.report.io.total_ops());
+      }
+      wall[0].push_back(pair_wall[0]);
+      wall[1].push_back(pair_wall[1]);
+      speedup.push_back(pair_wall[0] / std::max(1e-9, pair_wall[1]));
     }
+    const bool ops_equal = std::all_of(ops.begin(), ops.end(),
+                                       [&](u64 o) { return o == ops[0]; });
     const double passes = static_cast<double>(ops[0]) /
                           (2.0 * static_cast<double>(n) / (g.rpb * g.disks));
-    const double speedup = wall[0] / std::max(1e-9, wall[1]);
+    const double sp_med = median(speedup);
+    const double sp_min = *std::min_element(speedup.begin(), speedup.end());
+    const double sp_max = *std::max_element(speedup.begin(), speedup.end());
     at.row()
         .cell(name)
         .cell(passes, 3)
-        .cell(wall[0], 3)
-        .cell(wall[1], 3)
-        .cell(speedup, 2)
-        .cell(ops[0] == ops[1]);
+        .cell(median(wall[0]), 3)
+        .cell(median(wall[1]), 3)
+        .cell(sp_med, 2)
+        .cell(sp_min, 2)
+        .cell(sp_max, 2)
+        .cell(ops_equal);
     jw.begin_obj();
     jw.key("algorithm").value(name);
     jw.key("passes").value(passes);
-    jw.key("sync_wall_s").value(wall[0]);
-    jw.key("async_wall_s").value(wall[1]);
-    jw.key("speedup").value(speedup);
-    jw.key("ops_equal").value(ops[0] == ops[1]);
+    jw.key("sync_wall_s").value(median(wall[0]));
+    jw.key("async_wall_s").value(median(wall[1]));
+    jw.key("speedup").value(sp_med);
+    jw.key("speedup_min").value(sp_min);
+    jw.key("speedup_max").value(sp_max);
+    jw.key("ops_equal").value(ops_equal);
     jw.end_obj();
   };
   overlap_case("ExpectedTwoPass",
@@ -221,7 +270,8 @@ int main(int argc, char** argv) {
          "charged at submission), with async wall-clock below sync by up "
          "to the latency fraction of the run — prefetch and write-behind "
          "overlap the simulated positioning delay with computation and "
-         "across the D disks.\n";
+         "across the D disks. The min-max spread shows how far one pair "
+         "can stray from the median.\n";
   observability_finish(cli, trace_out);
   return 0;
 }
