@@ -50,6 +50,20 @@ inline u64 choose_lmm_m(u64 l, u64 run_len, u64 mem, u64 rpb) {
        " L=" + std::to_string(run_len) + " M=" + std::to_string(mem));
 }
 
+/// Splits items 0..n-1 into S = ceil(n / per_batch) batches of at most
+/// per_batch items in a *strided* order: batch r holds r, r+S, r+2S, ...
+/// Items laid out on neighbouring disks (consecutive groups of parts,
+/// consecutive runs formed for a shuffle) then spread over all the disks
+/// within each batch, where a batch of consecutive items would pile onto
+/// a few.
+inline std::vector<std::vector<usize>> strided_batches(usize n,
+                                                       usize per_batch) {
+  const usize stride = ceil_div(n, per_batch);
+  std::vector<std::vector<usize>> batches(stride);
+  for (usize i = 0; i < n; ++i) batches[i % stride].push_back(i);
+  return batches;
+}
+
 /// In-memory k-way merge of l sorted segments of part_len records laid out
 /// contiguously in `group`, writing the merged sequence to `out`.
 template <Record R, class Cmp>
@@ -112,16 +126,10 @@ CleanupOutcome lmm_merge_from_parts(PdmContext& ctx,
     TrackedBuffer<R> buf(ctx.budget(),
                          groups_per_load * static_cast<usize>(group_sz));
     TrackedBuffer<R> merged(ctx.budget(), buf.size());
-    // Groups are batched in a *strided* order (j = r, r+S, r+2S, ...):
-    // part (i, j) starts on disk (i+j) mod D, so a batch of consecutive
-    // groups would pile onto a triangular disk profile; stride-S batches
-    // spread i + j uniformly.
-    const usize stride = ceil_div(m, groups_per_load);
-    for (usize r = 0; r < stride; ++r) {
+    // Strided batches: part (i, j) starts on disk (i+j) mod D, so a batch
+    // of consecutive groups would pile onto a triangular disk profile.
+    for (const auto& batch : detail::strided_batches(m, groups_per_load)) {
       ctx.check_cancelled();
-      std::vector<usize> batch;
-      for (usize j = r; j < m; j += stride) batch.push_back(j);
-      if (batch.empty()) continue;
       std::vector<ReadReq> rreqs;
       rreqs.reserve(batch.size() * l * static_cast<usize>(part_len / rpb));
       for (usize g = 0; g < batch.size(); ++g) {
@@ -238,16 +246,12 @@ CleanupOutcome lmm_merge(PdmContext& ctx, std::span<const StripedRun<R>> runs,
       }
     };
     if (run_len <= load_sz) {
-      // Runs are loaded in a *strided* order (i = r, r+S, r+2S, ...), as
-      // pass B batches its groups: runs formed for a shuffle start on
-      // evenly spaced disks, so consecutive runs sit on neighbouring disks
-      // and a load of consecutive short runs would pile onto a few.
+      // Strided loads, as pass B batches its groups: runs formed for a
+      // shuffle start on evenly spaced disks, so consecutive runs sit on
+      // neighbouring disks.
       const usize runs_per_load =
           static_cast<usize>(std::max<u64>(1, load_sz / run_len));
-      const usize stride = ceil_div(l, runs_per_load);
-      for (usize r = 0; r < stride; ++r) {
-        std::vector<usize> batch;
-        for (usize i = r; i < l; i += stride) batch.push_back(i);
+      for (const auto& batch : detail::strided_batches(l, runs_per_load)) {
         std::vector<ReadReq> rreqs;
         rreqs.reserve(batch.size() * static_cast<usize>(run_len / rpb));
         for (usize c = 0; c < batch.size(); ++c) {
