@@ -589,16 +589,16 @@ PhaseOps expected_two_pass_phase_ops(u64 l) {
 }
 
 // paper_square's shape: 16 runs, and a cleanup chunk of 8 blocks per run
-// = 128 blocks, 4 per disk. The parent layout (run i on disk (17 i) mod
-// 32) put 5 on some disks: cleanup reads were 80.
+// = 128 blocks, 4 per disk. A stride layout (run i on disk (17 i) mod 32,
+// flat_run_start_stride's) puts 5 on some disks: cleanup reads of 80.
 TEST(PassLayout, PaperSquareShapeOpsPerPhase) {
   EXPECT_EQ(expected_two_pass_phase_ops(16), (PhaseOps{64, 64, 64, 64}));
 }
 
 // e13's default N at this M: 22 runs, a chunk of 5 blocks per run = 110
 // blocks, ceil(110 / 32) = 4 ops for each of 25 chunks plus 3 for the
-// last. The parent read 128 and, writing each 110-block window as its own
-// batch, wrote 102; whole-stripe writes take the minimum 88.
+// last. The stride layout reads 128, and writing each 110-block window
+// as its own batch costs 102; whole-stripe writes take the minimum 88.
 TEST(PassLayout, E13ShapeOpsPerPhase) {
   EXPECT_EQ(expected_two_pass_phase_ops(22), (PhaseOps{88, 88, 103, 88}));
 }
@@ -623,7 +623,8 @@ TEST(PassLayout, MeshDoorFallbackOps) {
     auto res = expected_two_pass_mesh_sort<u64>(*ctx, in, opt);
     EXPECT_TRUE(res.report.fallback_taken);
     EXPECT_EQ(res.output.read_all(), data);
-    // Parent layout: 276 / 260.
+    // With stride starts, consecutive loads and Q_j on disk j mod D:
+    // 276 / 260.
     EXPECT_EQ(res.report.io.read_ops, 236u);
     EXPECT_EQ(res.report.io.write_ops, 228u);
   }
@@ -658,9 +659,9 @@ TEST(PassLayout, MeshDoorFallbackOps) {
     EXPECT_TRUE(lmm_merge_from_parts<u64>(*ctx, parts, sink, lopt).ok);
     bc = ctx->stats();
   }
-  // One pass over l * 8 blocks is 32 ops. Parent layout: passes B and C
-  // read 96 and wrote 64 (Q_j on disk j mod D), pass A read 40 and wrote
-  // 64 (consecutive runs per load).
+  // One pass over l * 8 blocks is 32 ops. With Q_j on disk j mod D,
+  // passes B and C read 96 and write 64; with stride starts and
+  // consecutive runs per load, pass A reads 40 and writes 64.
   EXPECT_EQ(bc.read_ops, 64u);
   EXPECT_EQ(bc.write_ops, 64u);
   EXPECT_EQ(abc.read_ops - bc.read_ops, 32u);
