@@ -34,7 +34,8 @@ CleanupOutcome lmm_outer_tail(PdmContext& ctx, const FormedRuns<R>& parts,
                 "ragged outer part matrix");
       group.push_back(parts[i][j]);  // copy of run metadata (blocks shared)
     }
-    StripedRun<R> qj(ctx, spread_start_disk(j, m, ctx.D()));  // stage C
+    // Stage C reads the Q_j together: evenly spaced start disks.
+    StripedRun<R> qj(ctx, spread_start_disk(j, m, ctx.D()));
     RunSink<R> qsink(qj);
     const CleanupOutcome oc = lmm_merge<R>(
         ctx, std::span<const StripedRun<R>>(group.data(), group.size()),

@@ -114,10 +114,12 @@ CleanupOutcome lmm_merge_from_parts(PdmContext& ctx,
   // smaller than M, so both the batched read and the batched write stay
   // D-wide even when l*part_len << M (e.g. few runs on many disks).
   trace::TraceSpan trace_span("pass", "lmm_group_merge", "groups", m);
+  // Pass C reads the m sequences Q_j together, so they start on evenly
+  // spaced disks.
   std::vector<StripedRun<R>> q;
   q.reserve(m);
   for (usize j = 0; j < m; ++j) {
-    q.emplace_back(ctx, spread_start_disk(j, m, ctx.D()));  // pass C reads
+    q.emplace_back(ctx, spread_start_disk(j, m, ctx.D()));
   }
   {
     const u64 group_sz = l * part_len;
