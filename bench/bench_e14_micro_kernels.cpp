@@ -32,7 +32,7 @@ BENCHMARK(BM_StdSort)->Arg(1 << 14)->Arg(1 << 18)->Arg(1 << 21);
 
 void BM_ParallelSort(benchmark::State& state) {
   const usize n = static_cast<usize>(state.range(0));
-  CpuPool pool(8);
+  CpuPool pool(4);
   Rng rng(1);
   auto base = make_keys(n, Dist::kUniform, rng);
   std::vector<u64> scratch(n);
@@ -46,6 +46,36 @@ void BM_ParallelSort(benchmark::State& state) {
                           static_cast<i64>(n));
 }
 BENCHMARK(BM_ParallelSort)->Arg(1 << 18)->Arg(1 << 21);
+
+// The in-core kernel as the sorters call it, with scratch for every
+// record: u64 keys take the radix path. Args: n, then 0 = permutation of
+// 0..n-1 (only the low log2(n) key bits vary), 1 = uniform 64-bit keys,
+// then the kernel budget.
+void BM_InternalSort(benchmark::State& state) {
+  const usize n = static_cast<usize>(state.range(0));
+  const Dist dist = state.range(1) == 0 ? Dist::kPermutation : Dist::kUniform;
+  CpuPool pool(static_cast<usize>(state.range(2)));
+  Rng rng(6);
+  const auto base = make_keys(n, dist, rng);
+  std::vector<u64> v(n);
+  std::vector<u64> scratch(n);
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::copy(base.begin(), base.end(), v.begin());
+    state.ResumeTiming();
+    internal_sort_budgeted(std::span<u64>(v), std::less<u64>{}, pool,
+                           std::span<u64>(scratch));
+    benchmark::DoNotOptimize(v.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(dist_name(dist));
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(n * sizeof(u64)));
+}
+BENCHMARK(BM_InternalSort)
+    ->ArgsProduct({{1 << 18, 1 << 20}, {0, 1}, {1, 4}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_LoserTreeMerge(benchmark::State& state) {
   const usize k = static_cast<usize>(state.range(0));
@@ -124,13 +154,21 @@ BENCHMARK(BM_ReplacementSelection)
 void BM_RadixPartition(benchmark::State& state) {
   const usize n = 1 << 20;
   const u32 bits = static_cast<u32>(state.range(0));
+  const usize buckets = usize{1} << bits;
+  CpuPool serial(1);
   Rng rng(3);
   auto v = make_keys(n, Dist::kUniform, rng);
   std::vector<u64> out(n);
+  std::vector<u64> counts(buckets);
   for (auto _ : state) {
-    auto bounds = partition_by_digit<u64>(std::span<const u64>(v),
-                                          std::span<u64>(out), 32, bits);
-    benchmark::DoNotOptimize(bounds.data());
+    partition_stable(
+        std::span<const u64>(v), std::span<u64>(out), buckets,
+        [bits](const u64& k) {
+          return static_cast<usize>((k >> 32) & ((u64{1} << bits) - 1));
+        },
+        serial, std::span<u64>(counts));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
                           static_cast<i64>(n));

@@ -1,40 +1,155 @@
 // In-memory sorting kernel.
 //
-// The PDM model charges nothing for local computation, but the wall-clock
-// benches still want a fast internal sort: internal_sort_budgeted uses
-// std::sort for small inputs or a serial budget, and a chunked parallel
-// mergesort (scratch-based ping-pong) when the context's kernel budget
-// allows it. The thread count is the context's, never a sorter option.
+// The PDM model charges nothing for local computation, but once a sorter
+// takes its few passes the wall clock is mostly this kernel.
+// internal_sort_budgeted has two paths, both on the context's kernel
+// budget (the thread count is the context's, never a sorter option):
+//  - radix: records whose key is an integer or a padding-free KeyPair of
+//    integers, under std::less, with scratch for all n records. An LSD
+//    radix sort over the key bits that vary, one partition_stable call
+//    per digit, ping-ponging between the data and the scratch.
+//  - comparison: everything else. std::sort for small inputs or a serial
+//    budget, and a chunked parallel mergesort through the scratch when
+//    the budget allows it.
+// merge_budgeted merges two sorted spans, split by merge path so the
+// pieces run in parallel; the streamed cleanup uses it to merge each new
+// chunk with the sorted records it kept.
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <concepts>
 #include <functional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
+#include "internal/radix_partition.h"
 #include "pdm/pdm_context.h"
+#include "pdm/record.h"
 #include "util/common.h"
 #include "util/cpu_pool.h"
 #include "util/trace.h"
 
 namespace pdm {
 
-/// Sorts `data` on the in-core kernel budget (PdmContext::cpu_pool()): at
-/// budget >= 2 with `scratch.size() >= data.size()`, sorts chunks in
-/// parallel and merges them pairwise through the scratch buffer.
+namespace detail {
+
+/// Keys whose built-in KeyTraits projection is injective and keeps
+/// std::less's order, stored without padding bytes: two records with
+/// equal keys are equal bytes.
+template <class R>
+inline constexpr bool kRadixKey =
+    std::integral<R> && sizeof(R) <= sizeof(u64);
+
+template <class A, class B>
+inline constexpr bool kRadixKey<KeyPair<A, B>> =
+    kRadixKey<A> && kRadixKey<B> && sizeof(KeyPair<A, B>) <= sizeof(u64) &&
+    std::has_unique_object_representations_v<KeyPair<A, B>>;
+
+/// LSD radix sort of `data` by record_key through `scratch` (at least
+/// data.size() records). One pass takes the keys' OR and AND; only the
+/// bits where they differ are sorted, in digits of at most 11 bits, and
+/// bits that never vary between two digits are skipped.
+template <class R>
+void radix_sort_keys(std::span<R> data, std::span<R> scratch, CpuPool& pool) {
+  constexpr u32 kMaxDigitBits = 11;
+  const usize n = data.size();
+  PDM_TRACE_SPAN_ARG("kernel", "insort_radix", "records", n);
+  const usize chunks = std::clamp<usize>(n >> 14, usize{1}, usize{16});
+  std::vector<u64> ors(chunks, 0);
+  std::vector<u64> ands(chunks, ~u64{0});
+  pool.run_chunks(chunks, [&](usize c) {
+    u64 o = 0;
+    u64 a = ~u64{0};
+    for (usize i = n * c / chunks; i < n * (c + 1) / chunks; ++i) {
+      const u64 k = record_key(data[i]);
+      o |= k;
+      a &= k;
+    }
+    ors[c] = o;
+    ands[c] = a;
+  });
+  u64 any = 0;
+  u64 all = ~u64{0};
+  for (usize c = 0; c < chunks; ++c) {
+    any |= ors[c];
+    all &= ands[c];
+  }
+  const u64 varying = any ^ all;
+  if (varying == 0) return;  // one key: the records are equal bytes
+
+  const u32 lo = static_cast<u32>(std::countr_zero(varying));
+  const u32 hi = 64 - static_cast<u32>(std::countl_zero(varying));
+  const u32 digits = (hi - lo + kMaxDigitBits - 1) / kMaxDigitBits;
+  const u32 bits = (hi - lo + digits - 1) / digits;
+  const u64 mask = (u64{1} << bits) - 1;
+  std::vector<u64> counts(usize{1} << bits);
+  std::span<R> src = data;
+  std::span<R> dst = scratch.first(n);
+  u32 shift = lo;
+  while (true) {
+    partition_stable(
+        std::span<const R>(src), dst, counts.size(),
+        [shift, mask](const R& r) {
+          return static_cast<usize>((record_key(r) >> shift) & mask);
+        },
+        pool, std::span<u64>(counts));
+    std::swap(src, dst);
+    shift += bits;
+    if (shift >= hi) break;
+    shift += static_cast<u32>(std::countr_zero(varying >> shift));
+  }
+  if (src.data() != data.data()) {
+    pool.parallel_ranges(0, n, chunks, [&](usize b, usize e) {
+      std::copy(src.begin() + static_cast<std::ptrdiff_t>(b),
+                src.begin() + static_cast<std::ptrdiff_t>(e),
+                data.begin() + static_cast<std::ptrdiff_t>(b));
+    });
+  }
+}
+
+}  // namespace detail
+
+/// True when internal_sort_budgeted may sort R under Cmp by radix. Any
+/// correct sort of such records returns std::sort's exact bytes, so the
+/// choice of path never shows in the output.
+template <class R, class Cmp>
+inline constexpr bool kRadixSortable =
+    (std::is_same_v<Cmp, std::less<R>> || std::is_same_v<Cmp, std::less<>>) &&
+    detail::kRadixKey<R>;
+
+/// Inputs below this size take std::sort even when kRadixSortable holds:
+/// there the per-digit bucket arrays cost more than the comparisons.
+inline constexpr usize kRadixMinRecords = usize{1} << 11;
+
+/// Sorts `data` on the in-core kernel budget (PdmContext::cpu_pool()).
 ///
-/// Determinism: the chunk tree is a function of n ONLY — never of the
-/// budget — so every budget >= 2 sorts the same chunks and merges the same
-/// pairs, producing identical bytes regardless of how many threads pull
-/// chunks. Budget < 2 (or a small input, or missing scratch) takes plain
-/// std::sort, in place. The two paths agree byte-for-byte whenever
-/// elements that compare equal are indistinguishable (true for the repo's
-/// key-only record types). Sorters take the scratch from kernel_scratch().
+/// Radix path: when kRadixSortable<R, Cmp> holds, `scratch.size() >= n`
+/// and n >= kRadixMinRecords, sorts by radix at any budget (see
+/// detail::radix_sort_keys). partition_stable takes its chunk count from
+/// n only and returns the same bytes at every budget, and equal keys are
+/// equal bytes, so the output is std::sort's exactly.
+///
+/// Comparison path: at budget >= 2 with `scratch.size() >= n`, sorts
+/// chunks in parallel and merges them pairwise through the scratch. The
+/// chunk tree is a function of n ONLY — never of the budget — so every
+/// budget >= 2 sorts the same chunks and merges the same pairs, producing
+/// identical bytes regardless of how many threads pull chunks. Budget < 2
+/// (or a small input, or missing scratch) takes plain std::sort, in place.
+/// The two agree byte-for-byte whenever elements that compare equal are
+/// indistinguishable. Sorters take the scratch from kernel_scratch().
 template <class R, class Cmp = std::less<R>>
 void internal_sort_budgeted(std::span<R> data, Cmp cmp, CpuPool& pool,
                             std::span<R> scratch) {
-  constexpr usize kParallelThreshold = 1u << 14;
   const usize n = data.size();
+  if constexpr (kRadixSortable<R, Cmp>) {
+    if (scratch.size() >= n && n >= kRadixMinRecords) {
+      detail::radix_sort_keys(data, scratch, pool);
+      return;
+    }
+  }
+  constexpr usize kParallelThreshold = 1u << 14;
   if (pool.budget() < 2 || scratch.size() < n || n < kParallelThreshold) {
     std::sort(data.begin(), data.end(), cmp);
     return;
@@ -76,6 +191,47 @@ void internal_sort_budgeted(std::span<R> data, Cmp cmp, CpuPool& pool,
   if (src != data.data()) {
     std::copy(src, src + n, data.data());
   }
+}
+
+/// Merges sorted `a` and `b` into `out` (exactly a.size() + b.size()
+/// records) on the kernel budget, with std::merge's result: among equal
+/// records, a's come first. The output splits into pieces whose count
+/// depends on the sizes only; piece p's first record sits at diagonal d,
+/// and a binary search along d (the merge path) finds how many of the
+/// first d outputs come from a. Each piece is then one std::merge of the
+/// input slices that fill it, so every budget returns the same bytes.
+template <class R, class Cmp = std::less<R>>
+void merge_budgeted(std::span<const R> a, std::span<const R> b,
+                    std::span<R> out, Cmp cmp, CpuPool& pool) {
+  const usize n = a.size() + b.size();
+  PDM_CHECK(out.size() == n, "merge output must hold both inputs");
+  // Records of a among the first d outputs: a[i] comes before b[d-1-i]
+  // unless b[d-1-i] < a[i], and that test flips once along the diagonal.
+  auto a_taken = [&](usize d) {
+    usize lo = d > b.size() ? d - b.size() : 0;
+    usize hi = std::min(d, a.size());
+    while (lo < hi) {
+      const usize mid = lo + (hi - lo) / 2;
+      if (cmp(b[d - 1 - mid], a[mid])) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    return lo;
+  };
+  const usize pieces = std::clamp<usize>(n >> 14, usize{1}, usize{16});
+  pool.run_chunks(pieces, [&](usize p) {
+    const usize d0 = n * p / pieces;
+    const usize d1 = n * (p + 1) / pieces;
+    const usize i0 = a_taken(d0);
+    const usize i1 = a_taken(d1);
+    std::merge(a.begin() + static_cast<std::ptrdiff_t>(i0),
+               a.begin() + static_cast<std::ptrdiff_t>(i1),
+               b.begin() + static_cast<std::ptrdiff_t>(d0 - i0),
+               b.begin() + static_cast<std::ptrdiff_t>(d1 - i1),
+               out.begin() + static_cast<std::ptrdiff_t>(d0), cmp);
+  });
 }
 
 /// Scratch for internal_sort_budgeted over up to `n` records, charged to

@@ -1,58 +1,17 @@
-// In-memory counting partition by a key digit: the CPU kernel inside
-// IntegerSort's distribution phase (§7).
+// In-memory stable counting partition by a digit: the CPU kernel inside
+// IntegerSort's distribution phase (§7), and one digit of the radix path
+// of internal_sort_budgeted.
 #pragma once
 
 #include <algorithm>
 #include <span>
 #include <vector>
 
-#include "pdm/record.h"
 #include "util/common.h"
 #include "util/cpu_pool.h"
 #include "util/trace.h"
 
 namespace pdm {
-
-/// Extracts `bits` key bits starting at `shift` (from bit 0 = LSB).
-template <Record R>
-u64 digit_of(const R& rec, u32 shift, u32 bits) {
-  const u64 mask = bits >= 64 ? ~u64{0} : ((u64{1} << bits) - 1);
-  return (record_key(rec) >> shift) & mask;
-}
-
-/// Counts digit occurrences into `counts` (must be sized 2^bits, zeroed by
-/// this function).
-template <Record R>
-void count_digits(std::span<const R> recs, u32 shift, u32 bits,
-                  std::span<u64> counts) {
-  std::fill(counts.begin(), counts.end(), u64{0});
-  for (const auto& r : recs) ++counts[digit_of(r, shift, bits)];
-}
-
-/// Scatters records into `out` grouped by digit; `offsets` must contain the
-/// exclusive prefix sums of the counts and is consumed (advanced) in place.
-template <Record R>
-void scatter_by_digit(std::span<const R> recs, std::span<R> out, u32 shift,
-                      u32 bits, std::span<u64> offsets) {
-  for (const auto& r : recs) {
-    out[offsets[digit_of(r, shift, bits)]++] = r;
-  }
-}
-
-/// Partitions `recs` by digit into `out`, returning the bucket boundaries
-/// (size 2^bits + 1, exclusive prefix sums).
-template <Record R>
-std::vector<u64> partition_by_digit(std::span<const R> recs, std::span<R> out,
-                                    u32 shift, u32 bits) {
-  const usize nb = usize{1} << bits;
-  std::vector<u64> counts(nb);
-  count_digits(recs, shift, bits, std::span<u64>(counts));
-  std::vector<u64> bounds(nb + 1, 0);
-  for (usize i = 0; i < nb; ++i) bounds[i + 1] = bounds[i] + counts[i];
-  std::vector<u64> cursor(bounds.begin(), bounds.end() - 1);
-  scatter_by_digit(recs, out, shift, bits, std::span<u64>(cursor));
-  return bounds;
-}
 
 /// Stable counting partition by an arbitrary digit function, parallel when
 /// the pool budget allows. Fills `counts` (size num_buckets) with the
@@ -88,13 +47,16 @@ void partition_stable(std::span<const R> recs, std::span<R> out,
   const usize chunks = std::clamp<usize>(n >> 14, usize{2}, usize{16});
   auto chunk_lo = [&](usize c) { return n * c / chunks; };
   // Per-chunk digit histograms, then turned in place into per-(chunk,
-  // bucket) scatter cursors.
+  // bucket) scatter cursors. Each chunk loop keeps its bound and a copy of
+  // the digit function in locals: a store through `h` or `out` may alias
+  // what the lambdas capture by reference, so the compiler would otherwise
+  // redo the division and reload the digit's constants for every record.
   std::vector<u64> hist(chunks * num_buckets, 0);
   pool.run_chunks(chunks, [&](usize c) {
     u64* h = hist.data() + c * num_buckets;
-    for (usize i = chunk_lo(c); i < chunk_lo(c + 1); ++i) {
-      ++h[digit_fn(recs[i])];
-    }
+    const auto digit = digit_fn;
+    const usize hi = chunk_lo(c + 1);
+    for (usize i = chunk_lo(c); i < hi; ++i) ++h[digit(recs[i])];
   });
   u64 acc = 0;
   for (usize b = 0; b < num_buckets; ++b) {
@@ -110,8 +72,10 @@ void partition_stable(std::span<const R> recs, std::span<R> out,
   }
   pool.run_chunks(chunks, [&](usize c) {
     u64* cursor = hist.data() + c * num_buckets;
-    for (usize i = chunk_lo(c); i < chunk_lo(c + 1); ++i) {
-      out[cursor[digit_fn(recs[i])]++] = recs[i];
+    const auto digit = digit_fn;
+    const usize hi = chunk_lo(c + 1);
+    for (usize i = chunk_lo(c); i < hi; ++i) {
+      out[cursor[digit(recs[i])]++] = recs[i];
     }
   });
 }

@@ -4,18 +4,31 @@
 // Z_1..Z_t of d records, sort each, merge (Z_1,Z_2), (Z_3,Z_4), ... then
 // (Z_2,Z_3), (Z_4,Z_5), ... — correct whenever every record of Z sits
 // within d of its sorted position. The streaming equivalent implemented
-// here holds a window W of two chunks: read the next chunk, sort the whole
-// window, emit the lower chunk, retain the upper.
+// here holds a window W of two chunks: read the next chunk, sort it, merge
+// it with the sorted chunk retained from the previous step, emit the lower
+// chunk of the merged window, retain the upper.
 //
 // Equivalence sketch: the streamed pass emits, for window p, the smallest
-// d records of (retained_p ∪ Z_{p+1}); by induction retained_p contains
-// every unemitted record from Z_1..Z_p. A record destined for output
-// window p (final position < p*d) lies at shuffled position < (p+1)*d by
-// the displacement bound, i.e. in some chunk <= p+1 — always visible by
-// the time window p is emitted. The paper's two merge rounds compute the
-// same multisets (adding Z_{p+2}'s elements to the second round's merge
-// cannot change the lower half, since any such element that entered the
-// lower half would already have been in Z_{p+1}' after round one).
+// d records of (retained_p ∪ Z_{p+1}); by induction retained_p is sorted
+// and contains every unemitted record from Z_1..Z_p, so sorting Z_{p+1}
+// and merging it with retained_p yields (retained_p ∪ Z_{p+1}) in sorted
+// order, the same multiset a sort of the whole window would. A record
+// destined for output window p (final position < p*d) lies at shuffled
+// position < (p+1)*d by the displacement bound, i.e. in some chunk
+// <= p+1 — always visible by the time window p is emitted. The paper's two
+// merge rounds compute the same multisets (adding Z_{p+2}'s elements to
+// the second round's merge cannot change the lower half, since any such
+// element that entered the lower half would already have been in Z_{p+1}'
+// after round one).
+//
+// Where the merge runs: with kernel scratch (a kernel budget >= 2), the
+// new chunk is sorted alone and merged with the retained chunk into the
+// scratch by merge_budgeted; the lower part is emitted from there and the
+// upper part copied back to the window. Without scratch the whole window
+// is sorted in place, as one std::sort. Either way the window is the same
+// multiset in sorted order, so records whose equal keys are equal bytes
+// come out byte-identical; for other records only the order among equal
+// keys may differ, as it may between kernel budgets (see insort.h).
 //
 // On-line failure detection (§5): the output windows are sorted by
 // construction, so the full output is sorted iff every window's minimum is
@@ -27,7 +40,7 @@
 // reads whole chunk-spans of each input run (run-major batches, see
 // ShuffleChunkSource) and the sink appends through StripedRun — so with
 // extent-backed runs the whole pass moves in extent-sized transfers; the
-// window sort in between never touches the disks.
+// window sort and merge in between never touch the disks.
 #pragma once
 
 #include <algorithm>
@@ -63,8 +76,8 @@ CleanupOutcome streamed_cleanup(PdmContext& ctx, ChunkSource<R>& source,
   trace::TraceSpan trace_span("pass", "cleanup", "chunk_records", chunk);
 
   TrackedBuffer<R> window(ctx.budget(), 2 * chunk);
-  // Scratch for the parallel window sort (documented extra slack), only
-  // when the service's CPU arbiter granted a kernel budget >= 2.
+  // Scratch for the kernel and the merge, only when the service's CPU
+  // arbiter granted a kernel budget >= 2; it holds a whole window.
   TrackedBuffer<R> scratch = kernel_scratch<R>(ctx, 2 * chunk);
 
   CleanupOutcome out;
@@ -77,8 +90,21 @@ CleanupOutcome streamed_cleanup(PdmContext& ctx, ChunkSource<R>& source,
     const usize got = source.next_chunk(window.data() + held, chunk);
     if (got == 0 && source.exhausted()) break;
     const usize total = held + got;
-    internal_sort_budgeted(std::span<R>(window.data(), total), cmp,
-                           ctx.cpu_pool(), scratch.span());
+    const std::span<R> win(window.data(), total);
+    // The window in sorted order: in place, or merged into the scratch.
+    const R* sorted = window.data();
+    if (scratch.size() == 0) {
+      internal_sort_budgeted(win, cmp, ctx.cpu_pool(), std::span<R>{});
+    } else {
+      internal_sort_budgeted(win.subspan(held), cmp, ctx.cpu_pool(),
+                             scratch.span());
+      if (held > 0) {
+        merge_budgeted(std::span<const R>(win.first(held)),
+                       std::span<const R>(win.subspan(held)),
+                       scratch.span().first(total), cmp, ctx.cpu_pool());
+        sorted = scratch.data();
+      }
+    }
     usize emit;
     if (source.exhausted()) {
       emit = total;  // final flush
@@ -86,20 +112,20 @@ CleanupOutcome streamed_cleanup(PdmContext& ctx, ChunkSource<R>& source,
       emit = total > chunk ? total - chunk : 0;
     }
     if (emit > 0) {
-      if (have_last && cmp(window[0], last_max)) {
+      if (have_last && cmp(sorted[0], last_max)) {
         out.ok = false;
         if (opt.abort_on_violation) return out;
       }
-      sink.push(std::span<const R>(window.data(), emit));
+      sink.push(std::span<const R>(sorted, emit));
       out.emitted += emit;
       ++out.windows;
-      last_max = window[emit - 1];
+      last_max = sorted[emit - 1];
       have_last = true;
-      std::copy(window.data() + emit, window.data() + total, window.data());
-      held = total - emit;
-    } else {
-      held = total;
     }
+    if (emit > 0 || sorted != window.data()) {
+      std::copy(sorted + emit, sorted + total, window.data());
+    }
+    held = total - emit;
   }
   if (held > 0) {
     // Source went dry exactly at a window boundary: flush the holdover.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 
 #include "internal/insort.h"
@@ -10,6 +12,22 @@
 #include "util/rng.h"
 
 namespace pdm {
+namespace {
+
+// An 8-byte record keyed on one field by a user-written KeyTraits: its
+// projection is not injective, so it must stay on the comparison path.
+struct FieldKeyed {
+  u32 key = 0;
+  u32 payload = 0;
+};
+
+}  // namespace
+
+template <>
+struct KeyTraits<FieldKeyed> {
+  static constexpr u64 key(const FieldKeyed& r) noexcept { return r.key; }
+};
+
 namespace {
 
 // ---------------------------------------------------------------- insort
@@ -72,6 +90,172 @@ TEST(InternalSort, EmptyAndSingle) {
   v = {42};
   internal_sort_budgeted(std::span<u64>(v), std::less<u64>{}, pool, {});
   EXPECT_EQ(v[0], 42u);
+}
+
+// ------------------------------------------------------ insort radix path
+
+using i8 = std::int8_t;
+using i16 = std::int16_t;
+using i32 = std::int32_t;
+
+constexpr auto kLambdaLess = [](u64 a, u64 b) { return a < b; };
+static_assert(kRadixSortable<u64, std::less<u64>>);
+static_assert(kRadixSortable<i8, std::less<>>);
+static_assert(kRadixSortable<KeyPair<i32, u32>, std::less<KeyPair<i32, u32>>>);
+static_assert(!kRadixSortable<KeyPair<u8, u32>, std::less<KeyPair<u8, u32>>>,
+              "padding bytes: equal keys need not be equal bytes");
+static_assert(!kRadixSortable<KeyPair<u64, u64>, std::less<KeyPair<u64, u64>>>,
+              "wider than one u64 key");
+static_assert(!kRadixSortable<FieldKeyed, std::less<FieldKeyed>>,
+              "a user-written KeyTraits may drop fields");
+static_assert(!kRadixSortable<u64, std::greater<u64>>);
+static_assert(!kRadixSortable<u64, decltype(kLambdaLess)>);
+
+// Builds a T from the low 8*sizeof(T) bits of x. A KeyPair takes its first
+// member from the bits above its second, as its KeyTraits packs them, so
+// bit 8*sizeof(T)-1 of x is the top bit of T's key.
+template <class T>
+struct FromBits {
+  static T make(u64 x) { return static_cast<T>(x); }
+};
+
+template <class A, class B>
+struct FromBits<KeyPair<A, B>> {
+  static KeyPair<A, B> make(u64 x) {
+    return {FromBits<A>::make(x >> (8 * sizeof(B))), FromBits<B>::make(x)};
+  }
+};
+
+enum class KeySet {
+  kAllEqual,
+  kFewDistinct,
+  kSorted,
+  kReverse,
+  kPermutation,
+  kUniform,
+  kTopBit,  // only the key's top bit varies: bit 63 for u64, the sign of i8
+};
+
+template <class T>
+std::vector<T> radix_keys(usize n, KeySet set, Rng& rng) {
+  constexpr u32 width = 8 * sizeof(T);
+  const u64 few[3] = {rng.next(), rng.next(), rng.next()};
+  const u64 fixed = 0x0123456789abcdefULL & ~(u64{1} << (width - 1));
+  std::vector<T> v(n);
+  for (usize i = 0; i < n; ++i) {
+    u64 x = 0;
+    switch (set) {
+      case KeySet::kAllEqual: x = fixed; break;
+      case KeySet::kFewDistinct: x = few[rng.below(3)]; break;
+      case KeySet::kPermutation: x = i; break;
+      case KeySet::kTopBit: x = fixed | (rng.below(2) << (width - 1)); break;
+      default: x = rng.next(); break;
+    }
+    v[i] = FromBits<T>::make(x);
+  }
+  if (set == KeySet::kSorted || set == KeySet::kReverse) {
+    std::sort(v.begin(), v.end());
+  }
+  if (set == KeySet::kReverse) std::reverse(v.begin(), v.end());
+  if (set == KeySet::kPermutation) shuffle(v, rng);
+  return v;
+}
+
+template <class T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  if (a.size() != b.size()) return false;
+  return a.empty() ||
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+template <class T>
+class RadixKernel : public ::testing::Test {};
+
+using RadixKeyTypes =
+    ::testing::Types<u8, u16, u32, u64, i8, i16, i32, i64, char,
+                     KeyPair<i32, u32>, KeyPair<KeyPair<u16, u16>, u32>>;
+TYPED_TEST_SUITE(RadixKernel, RadixKeyTypes);
+
+// Every budget with full scratch takes the radix path above the threshold;
+// budget 4 with scratch one record short takes the comparison path. All
+// must return std::sort's bytes.
+TYPED_TEST(RadixKernel, MatchesStdSortBytes) {
+  using T = TypeParam;
+  static_assert(kRadixSortable<T, std::less<T>>);
+  CpuPool pool1(1);
+  CpuPool pool2(2);
+  CpuPool pool4(4);
+  struct Config {
+    CpuPool* pool;
+    bool full_scratch;
+  };
+  const Config configs[] = {
+      {&pool1, true}, {&pool2, true}, {&pool4, true}, {&pool4, false}};
+  const usize sizes[] = {0,
+                         1,
+                         kRadixMinRecords - 1,
+                         kRadixMinRecords,
+                         (usize{1} << 14) - 1,
+                         (usize{1} << 14) + 1,
+                         (usize{1} << 17) + 12345};
+  Rng rng(11);
+  for (KeySet set : {KeySet::kAllEqual, KeySet::kFewDistinct, KeySet::kSorted,
+                     KeySet::kReverse, KeySet::kPermutation, KeySet::kUniform,
+                     KeySet::kTopBit}) {
+    for (usize n : sizes) {
+      const auto input = radix_keys<T>(n, set, rng);
+      auto expect = input;
+      std::sort(expect.begin(), expect.end());
+      for (const Config& c : configs) {
+        auto got = input;
+        std::vector<T> scratch(c.full_scratch || n == 0 ? n : n - 1);
+        internal_sort_budgeted(std::span<T>(got), std::less<T>{}, *c.pool,
+                               std::span<T>(scratch));
+        ASSERT_TRUE(same_bytes(got, expect))
+            << "set " << static_cast<int>(set) << " n " << n << " budget "
+            << c.pool->budget() << " full scratch " << c.full_scratch;
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------------ merge path
+
+// Records carry (input, position) in .second and compare on .first only,
+// so the output shows which input's record came first among equal keys.
+TEST(MergeBudgeted, MatchesStdMergeIncludingTies) {
+  using Rec = KeyPair<u64, u64>;
+  auto key_less = [](const Rec& x, const Rec& y) { return x.first < y.first; };
+  CpuPool pool1(1);
+  CpuPool pool2(2);
+  CpuPool pool4(4);
+  Rng rng(21);
+  const std::pair<usize, usize> sizes[] = {
+      {0, 0},     {0, 40000}, {40000, 0},     {1, 70000},
+      {70000, 1}, {3, 5},     {50000, 30000}, {30001, 50003}};
+  for (u64 alphabet : {u64{4}, u64{1} << 40}) {
+    for (const auto& [na, nb] : sizes) {
+      auto side = [&](usize len, u64 input) {
+        std::vector<Rec> v(len);
+        for (auto& r : v) r.first = rng.below(alphabet);
+        std::sort(v.begin(), v.end());
+        for (usize i = 0; i < len; ++i) v[i].second = (input << 32) | i;
+        return v;
+      };
+      const auto a = side(na, 0);
+      const auto b = side(nb, 1);
+      std::vector<Rec> expect(na + nb);
+      std::merge(a.begin(), a.end(), b.begin(), b.end(), expect.begin(),
+                 key_less);
+      for (CpuPool* pool : {&pool1, &pool2, &pool4}) {
+        std::vector<Rec> got(na + nb);
+        merge_budgeted(std::span<const Rec>(a), std::span<const Rec>(b),
+                       std::span<Rec>(got), key_less, *pool);
+        EXPECT_EQ(got, expect) << "alphabet " << alphabet << " sizes " << na
+                               << "+" << nb << " budget " << pool->budget();
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ loser tree
@@ -313,17 +497,16 @@ TEST(LoserTree, LowerTagBeatsSmallerKey) {
 
 // -------------------------------------------------------- radix partition
 
-TEST(RadixPartition, DigitExtraction) {
-  EXPECT_EQ(digit_of<u64>(0b1011'0110, 0, 4), 0b0110u);
-  EXPECT_EQ(digit_of<u64>(0b1011'0110, 4, 4), 0b1011u);
-  EXPECT_EQ(digit_of<u64>(~u64{0}, 0, 64), ~u64{0});
-}
-
 TEST(RadixPartition, CountsSumToN) {
   Rng rng(3);
   auto v = make_int_keys(1000, 256, rng);
+  std::vector<u64> out(v.size());
   std::vector<u64> counts(16);
-  count_digits<u64>(std::span<const u64>(v), 4, 4, std::span<u64>(counts));
+  CpuPool serial(1);
+  partition_stable(
+      std::span<const u64>(v), std::span<u64>(out), counts.size(),
+      [](const u64& k) { return static_cast<usize>((k >> 4) & 15); }, serial,
+      std::span<u64>(counts));
   u64 total = 0;
   for (u64 c : counts) total += c;
   EXPECT_EQ(total, 1000u);
@@ -333,15 +516,17 @@ TEST(RadixPartition, PartitionGroupsByDigit) {
   Rng rng(4);
   auto v = make_int_keys(4096, 1u << 12, rng);
   std::vector<u64> out(v.size());
-  auto bounds = partition_by_digit<u64>(std::span<const u64>(v),
-                                        std::span<u64>(out), 8, 4);
-  ASSERT_EQ(bounds.size(), 17u);
-  EXPECT_EQ(bounds.back(), v.size());
+  std::vector<u64> counts(16);
+  auto digit = [](const u64& k) { return static_cast<usize>((k >> 8) & 15); };
+  CpuPool serial(1);
+  partition_stable(std::span<const u64>(v), std::span<u64>(out), counts.size(),
+                   digit, serial, std::span<u64>(counts));
+  u64 lo = 0;
   for (usize d = 0; d < 16; ++d) {
-    for (u64 i = bounds[d]; i < bounds[d + 1]; ++i) {
-      EXPECT_EQ(digit_of<u64>(out[i], 8, 4), d);
-    }
+    for (u64 i = lo; i < lo + counts[d]; ++i) EXPECT_EQ(digit(out[i]), d);
+    lo += counts[d];
   }
+  EXPECT_EQ(lo, v.size());
   // Multiset preserved.
   auto a = v;
   auto b = out;
@@ -353,12 +538,17 @@ TEST(RadixPartition, PartitionGroupsByDigit) {
 TEST(RadixPartition, ScatterIsStableWithinDigit) {
   std::vector<u64> v{0x10, 0x20, 0x11, 0x21, 0x12};
   std::vector<u64> out(v.size());
-  auto bounds = partition_by_digit<u64>(std::span<const u64>(v),
-                                        std::span<u64>(out), 4, 4);
-  // digit = high nibble; within digit 1 the order 0x10, 0x11, 0x12 holds.
-  EXPECT_EQ(out[bounds[1]], 0x10u);
-  EXPECT_EQ(out[bounds[1] + 1], 0x11u);
-  EXPECT_EQ(out[bounds[1] + 2], 0x12u);
+  std::vector<u64> counts(16);
+  CpuPool serial(1);
+  partition_stable(
+      std::span<const u64>(v), std::span<u64>(out), counts.size(),
+      [](const u64& k) { return static_cast<usize>((k >> 4) & 15); }, serial,
+      std::span<u64>(counts));
+  // digit = high nibble; digit 1 comes first and keeps 0x10, 0x11, 0x12.
+  EXPECT_EQ(counts[1], 3u);
+  EXPECT_EQ(out[0], 0x10u);
+  EXPECT_EQ(out[1], 0x11u);
+  EXPECT_EQ(out[2], 0x12u);
 }
 
 }  // namespace

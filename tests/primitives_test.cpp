@@ -303,6 +303,50 @@ TEST(Cleanup, SingleChunkInputJustSorts) {
   EXPECT_EQ(sink.out, (std::vector<u64>{1, 2, 3, 4, 5}));
 }
 
+// With kernel scratch (budget >= 2) the cleanup sorts each new chunk and
+// merges it with the chunk it retained; at budget 1 it sorts the whole
+// window. Both emit the same records in the same windows: for source
+// chunks of a full cleanup chunk, for short ones (the window fills over
+// several steps, some of which emit nothing), and for an input that
+// breaks the displacement bound.
+TEST(Cleanup, MergePathMatchesWholeWindowSort) {
+  Rng rng(8);
+  const usize chunk = 64;
+  std::vector<u64> displaced(1000);
+  std::iota(displaced.begin(), displaced.end(), u64{0});
+  for (usize b = 0; b + chunk <= displaced.size(); b += chunk) {
+    for (usize i = chunk; i > 1; --i) {
+      std::swap(displaced[b + i - 1],
+                displaced[b + static_cast<usize>(rng.below(i))]);
+    }
+  }
+  std::vector<u64> violating = displaced;
+  std::swap(violating.front(), violating.back());
+  for (const auto* input : {&displaced, &violating}) {
+    for (usize source_chunk : {chunk, usize{16}, usize{48}}) {
+      std::vector<u64> outs[2];
+      CleanupOutcome outcomes[2];
+      for (usize budget : {1, 4}) {
+        auto ctx = make_memory_context(4, 16 * sizeof(u64));
+        ctx->set_cpu_budget(budget);
+        VectorChunkSource src(*input, source_chunk);
+        VectorSink sink;
+        CleanupOptions opt;
+        opt.chunk_records = chunk;
+        opt.abort_on_violation = false;
+        const usize k = budget == 1 ? 0 : 1;
+        outcomes[k] = streamed_cleanup<u64>(*ctx, src, sink, opt);
+        outs[k] = std::move(sink.out);
+      }
+      EXPECT_EQ(outs[0], outs[1]) << "source chunk " << source_chunk;
+      EXPECT_EQ(outcomes[0].ok, outcomes[1].ok);
+      EXPECT_EQ(outcomes[0].emitted, outcomes[1].emitted);
+      EXPECT_EQ(outcomes[0].windows, outcomes[1].windows);
+      EXPECT_EQ(outcomes[0].ok, input == &displaced);
+    }
+  }
+}
+
 // ---------------------------------------------------- shuffle chunk source
 
 TEST(ShuffleChunkSource, DeliversAllRecordsOnce) {
