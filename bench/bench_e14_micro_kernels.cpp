@@ -5,10 +5,14 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
+#include <string>
 
 #include "internal/insort.h"
 #include "internal/loser_tree.h"
 #include "internal/radix_partition.h"
+#include "pdm/pdm_context.h"
+#include "primitives/run_formation.h"
 #include "util/cpu_pool.h"
 #include "util/generators.h"
 #include "util/rng.h"
@@ -109,11 +113,14 @@ void BM_LoserTreeMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_LoserTreeMerge)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
-// The selection loop of replacement_select_runs without its I/O: an
+// The loser-tree loop of replacement_select_runs without its I/O: an
 // M-record tree in which each emitted record is replaced by the next
 // input record, tagged with the current run or, when it arrives too late
-// for it, the next one. Args: M, then 0 = near-sorted (displacement N/32),
-// 1 = random permutation; N = 2^20.
+// for it, the next one. The function runs this loop for records and
+// comparators outside kRadixSortable, and after the first failed batch
+// check otherwise (BM_ReplacementSelectRuns times the whole function).
+// Args: M, then 0 = near-sorted (displacement N/32), 1 = random
+// permutation; N = 2^20.
 void BM_ReplacementSelection(benchmark::State& state) {
   const usize m = static_cast<usize>(state.range(0));
   const Dist dist =
@@ -150,6 +157,55 @@ void BM_ReplacementSelection(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplacementSelection)
     ->ArgsProduct({{1 << 12, 1 << 16, 1 << 18}, {0, 1}});
+
+// replacement_select_runs as the sorters call it, through a memory-backed
+// context (4 disks of 4 KiB blocks, kernel budget 1), so the time includes
+// its reads and writes. Under std::less, u64 keys take run 0 in sorted
+// batches until a batch fails its check; a lambda with the same order runs
+// the loser tree throughout. On permutation input the first check fails,
+// so the std::less row pays for the sorted heap fill and then runs the
+// tree. Args: M, then 0 = near-sorted (displacement N/32), 1 = random
+// permutation, then 0 = std::less, 1 = lambda; N = 2^20.
+void BM_ReplacementSelectRuns(benchmark::State& state) {
+  const u64 m = static_cast<u64>(state.range(0));
+  const Dist dist =
+      state.range(1) == 0 ? Dist::kNearSortedDisplaced : Dist::kPermutation;
+  const bool tree = state.range(2) != 0;
+  const usize n = usize{1} << 20;
+  Rng rng(5);
+  const auto in = make_keys(n, dist, rng);
+  usize runs = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto ctx = make_memory_context(4, 4096, 1);
+    std::optional<StripedRun<u64>> staged(
+        write_input_run<u64>(*ctx, std::span<const u64>(in)));
+    state.ResumeTiming();
+    auto select = [&](auto cmp) {
+      return replacement_select_runs<u64>(*ctx, *staged, m, 0, 0, false,
+                                          flat_run_start_stride(ctx->D()),
+                                          cmp);
+    };
+    auto out = tree ? select([](u64 a, u64 b) { return a < b; })
+                    : select(std::less<u64>{});
+    runs = out.size();
+    benchmark::DoNotOptimize(out.data());
+    state.PauseTiming();
+    out.clear();  // the runs and the input release their blocks first
+    staged.reset();
+    ctx.reset();
+    state.ResumeTiming();
+  }
+  state.SetLabel(std::string(dist_name(dist)) +
+                 (tree ? "/lambda" : "/std::less"));
+  state.counters["runs"] = static_cast<double>(runs);
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(n));
+}
+BENCHMARK(BM_ReplacementSelectRuns)
+    ->ArgsProduct({{1 << 12, 1 << 16, 1 << 18}, {0, 1}, {0, 1}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_RadixPartition(benchmark::State& state) {
   const usize n = 1 << 20;

@@ -303,6 +303,179 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// ------------------------------------------ sorted batches against the tree
+
+// Under std::less, radix-keyed records take run 0 in sorted batches until
+// a batch fails its check; any other comparator runs the loser tree. A
+// lambda with std::less's order therefore replays the same selection on
+// the tree, and the two must store the same runs through the same I/O.
+// M = 4096 makes each batch of M/2 records large enough for the radix
+// kernel.
+constexpr usize kBatchMem = 4096;
+constexpr usize kBatchRpb = 64;
+
+/// Sorted keys 0..n-1, shuffled within consecutive windows of w.
+std::vector<u64> windowed_keys(usize n, usize w, Rng& rng) {
+  std::vector<u64> v(n);
+  std::iota(v.begin(), v.end(), u64{0});
+  for (usize lo = 0; lo < n; lo += w) {
+    const usize hi = std::min(n, lo + w);
+    for (usize i = hi - 1; i > lo; --i) {
+      std::swap(v[i], v[lo + static_cast<usize>(rng.below(i - lo + 1))]);
+    }
+  }
+  return v;
+}
+
+struct BatchInput {
+  const char* name;
+  std::vector<u64> (*make)(usize n, Rng& rng);
+  usize runs;  // runs replacement selection makes at n >= 3M; 0: any
+};
+
+const BatchInput kBatchInputs[] = {
+    // Windows of at most M/2 line up with the batches: every check passes.
+    {"window_quarter",
+     [](usize n, Rng& r) { return windowed_keys(n, kBatchMem / 4, r); },
+     1},
+    {"window_half",
+     [](usize n, Rng& r) { return windowed_keys(n, kBatchMem / 2, r); },
+     1},
+    // Windows that straddle batches: checks pass or fail mid-stream.
+    {"window_half_plus_3",
+     [](usize n, Rng& r) { return windowed_keys(n, kBatchMem / 2 + 3, r); },
+     0},
+    {"window_three_quarters",
+     [](usize n, Rng& r) { return windowed_keys(n, 3 * kBatchMem / 4, r); },
+     0},
+    // Sorted, with the record at p moved 2M places later. Its batch is the
+    // first to fail the check (at n = 4M: the fourth batch, and the record
+    // is not the batch's first); it lands alone in run 1.
+    {"moved_2m",
+     [](usize n, Rng&) {
+       std::vector<u64> v(n);
+       std::iota(v.begin(), v.end(), u64{0});
+       const usize p = n / 8 + 5;
+       const usize to = std::min(n - 1, p + 2 * kBatchMem);
+       std::rotate(v.begin() + static_cast<std::ptrdiff_t>(p),
+                   v.begin() + static_cast<std::ptrdiff_t>(p + 1),
+                   v.begin() + static_cast<std::ptrdiff_t>(to + 1));
+       return v;
+     },
+     2},
+    // Sorted, with every 1021st record moved 3M/4 places later: no record
+    // is late, but those that land in a batch's first half leave with it,
+    // ahead of h[c-1], so the batch must be merged into what it emits.
+    {"delayed_3m4",
+     [](usize n, Rng&) {
+       std::vector<u64> v(n);
+       std::iota(v.begin(), v.end(), u64{0});
+       for (usize p = 11; p + 3 * kBatchMem / 4 < n; p += 1021) {
+         std::rotate(v.begin() + static_cast<std::ptrdiff_t>(p),
+                     v.begin() + static_cast<std::ptrdiff_t>(p + 1),
+                     v.begin() + static_cast<std::ptrdiff_t>(
+                                     p + 3 * kBatchMem / 4 + 1));
+       }
+       return v;
+     },
+     1},
+    // Fails the first check.
+    {"permutation",
+     [](usize n, Rng& r) { return make_keys(n, Dist::kPermutation, r); },
+     0},
+    {"sorted", [](usize n, Rng& r) { return make_keys(n, Dist::kSorted, r); },
+     1},
+    {"reverse",
+     [](usize n, Rng& r) { return make_keys(n, Dist::kReverse, r); }, 0},
+    {"few_distinct",
+     [](usize n, Rng& r) { return make_keys(n, Dist::kFewDistinct, r); },
+     0},
+    {"all_equal",
+     [](usize n, Rng& r) { return make_keys(n, Dist::kAllEqual, r); }, 1},
+};
+
+template <Record R>
+struct SelectionOutcome {
+  std::vector<std::vector<R>> runs;
+  IoStats io;
+};
+
+template <Record R, class Cmp>
+SelectionOutcome<R> select_runs(const std::vector<R>& data, bool updown,
+                                usize depth, usize budget, Cmp cmp) {
+  auto ctx = make_memory_context(4, kBatchRpb * sizeof(R), 1);
+  auto in = test::stage_input<R>(*ctx, data);
+  if (depth >= 2) ctx->set_async_depth(depth);
+  ctx->set_cpu_budget(budget);
+  auto runs = replacement_select_runs<R>(*ctx, in, kBatchMem, 0, 0, updown,
+                                         flat_run_start_stride(ctx->D()), cmp);
+  ctx->aio().drain();
+  SelectionOutcome<R> got{{}, ctx->stats()};  // before read_all counts reads
+  for (const auto& r : runs) got.runs.push_back(r.read_all());
+  return got;
+}
+
+/// Runs every input, size, mode, async depth and kernel budget through
+/// both paths; `to_record` maps a u64 key to R, preserving its order.
+template <Record R, class ToRecord>
+void expect_batches_match_tree(ToRecord to_record) {
+  static_assert(kRadixSortable<R, std::less<R>>);
+  auto tree_less = [](const R& a, const R& b) { return a < b; };
+  // Below the heap, equal to it, not a multiple of B, a multiple of M.
+  for (const usize n : {kBatchMem - 3 * kBatchRpb - 11, kBatchMem,
+                        3 * kBatchMem + 37, 4 * kBatchMem}) {
+    for (const BatchInput& input : kBatchInputs) {
+      Rng rng(n);
+      const auto keys = input.make(n, rng);
+      std::vector<R> data(n);
+      std::transform(keys.begin(), keys.end(), data.begin(), to_record);
+      for (const bool updown : {false, true}) {
+        for (const auto& [depth, budget] :
+             {std::pair<usize, usize>{0, 1}, {0, 4}, {4, 1}, {4, 4}}) {
+          SCOPED_TRACE(::testing::Message()
+                       << input.name << " n " << n << " updown " << updown
+                       << " depth " << depth << " budget " << budget);
+          const auto batched =
+              select_runs<R>(data, updown, depth, budget, std::less<R>{});
+          const auto tree =
+              select_runs<R>(data, updown, depth, budget, tree_less);
+          ASSERT_EQ(batched.runs.size(), tree.runs.size());
+          for (usize r = 0; r < tree.runs.size(); ++r) {
+            ASSERT_EQ(batched.runs[r], tree.runs[r]) << "run " << r;
+          }
+          EXPECT_EQ(batched.io.read_ops, tree.io.read_ops);
+          EXPECT_EQ(batched.io.write_ops, tree.io.write_ops);
+          EXPECT_EQ(batched.io.blocks_read, tree.io.blocks_read);
+          EXPECT_EQ(batched.io.blocks_written, tree.io.blocks_written);
+          EXPECT_EQ(batched.io.read_calls, tree.io.read_calls);
+          EXPECT_EQ(batched.io.write_calls, tree.io.write_calls);
+          EXPECT_EQ(batched.io.schedule_hash, tree.io.schedule_hash);
+          if (n >= 3 * kBatchMem && input.runs != 0) {
+            EXPECT_EQ(tree.runs.size(), input.runs);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SortedBatches, MatchTreeOnU64) {
+  expect_batches_match_tree<u64>([](u64 k) { return k; });
+}
+
+TEST(SortedBatches, MatchTreeOnNegativeI64) {
+  expect_batches_match_tree<i64>([](u64 k) {
+    return static_cast<i64>(k) - static_cast<i64>(2 * kBatchMem);
+  });
+}
+
+TEST(SortedBatches, MatchTreeOnKeyPair) {
+  using Pair = KeyPair<u32, u32>;
+  expect_batches_match_tree<Pair>([](u64 k) {
+    return Pair{static_cast<u32>(k >> 3), static_cast<u32>(k & 7)};
+  });
+}
+
 // ------------------------------------------------------ presortedness probe
 
 TEST(PresortednessProbe, InMemoryEstimates) {
