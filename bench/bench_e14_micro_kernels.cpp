@@ -51,18 +51,19 @@ void BM_ParallelSort(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelSort)->Arg(1 << 18)->Arg(1 << 21);
 
-// The in-core kernel as the sorters call it, with scratch for every
-// record: u64 keys take the radix path. Args: n, then 0 = permutation of
-// 0..n-1 (only the low log2(n) key bits vary), 1 = uniform 64-bit keys,
-// then the kernel budget.
-void BM_InternalSort(benchmark::State& state) {
+// The in-core kernel as the sorters call it. Args: n, then 0 = permutation
+// of 0..n-1 (only the low log2(n) key bits vary), 1 = uniform 64-bit keys,
+// then the kernel budget. `with_scratch` passes scratch for every record
+// (u64 keys take the LSD radix path) or none, as every budget-1 sorter
+// calls it (kernel_scratch is empty there).
+void time_internal_sort(benchmark::State& state, bool with_scratch) {
   const usize n = static_cast<usize>(state.range(0));
   const Dist dist = state.range(1) == 0 ? Dist::kPermutation : Dist::kUniform;
   CpuPool pool(static_cast<usize>(state.range(2)));
   Rng rng(6);
   const auto base = make_keys(n, dist, rng);
   std::vector<u64> v(n);
-  std::vector<u64> scratch(n);
+  std::vector<u64> scratch(with_scratch ? n : 0);
   for (auto _ : state) {
     state.PauseTiming();
     std::copy(base.begin(), base.end(), v.begin());
@@ -76,8 +77,20 @@ void BM_InternalSort(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
                           static_cast<i64>(n * sizeof(u64)));
 }
+
+void BM_InternalSort(benchmark::State& state) {
+  time_internal_sort(state, true);
+}
 BENCHMARK(BM_InternalSort)
     ->ArgsProduct({{1 << 18, 1 << 20}, {0, 1}, {1, 4}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_InternalSortNoScratch(benchmark::State& state) {
+  time_internal_sort(state, false);
+}
+BENCHMARK(BM_InternalSortNoScratch)
+    ->ArgsProduct({{1 << 18, 1 << 20}, {0, 1}, {1}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -2,12 +2,18 @@
 //
 // The PDM model charges nothing for local computation, but once a sorter
 // takes its few passes the wall clock is mostly this kernel.
-// internal_sort_budgeted has two paths, both on the context's kernel
+// internal_sort_budgeted has three paths, all on the context's kernel
 // budget (the thread count is the context's, never a sorter option):
-//  - radix: records whose key is an integer or a padding-free KeyPair of
-//    integers, under std::less, with scratch for all n records. An LSD
-//    radix sort over the key bits that vary, one partition_stable call
-//    per digit, ping-ponging between the data and the scratch.
+//  - radix with scratch: records whose key is an integer or a
+//    padding-free KeyPair of integers, under std::less, with scratch for
+//    all n records. An LSD radix sort over the key bits that vary, one
+//    partition_stable call per digit, ping-ponging between the data and
+//    the scratch.
+//  - radix in place: the same records without that scratch, as every
+//    budget-1 sorter calls it. An MSD (American flag) radix sort over the
+//    same bits, one byte per level, that swaps records into their
+//    buckets and recurses into each; serial, and it allocates nothing
+//    that grows with n.
 //  - comparison: everything else. std::sort for small inputs or a serial
 //    budget, and a chunked parallel mergesort through the scratch when
 //    the budget allows it.
@@ -47,15 +53,12 @@ inline constexpr bool kRadixKey<KeyPair<A, B>> =
     kRadixKey<A> && kRadixKey<B> && sizeof(KeyPair<A, B>) <= sizeof(u64) &&
     std::has_unique_object_representations_v<KeyPair<A, B>>;
 
-/// LSD radix sort of `data` by record_key through `scratch` (at least
-/// data.size() records). One pass takes the keys' OR and AND; only the
-/// bits where they differ are sorted, in digits of at most 11 bits, and
-/// bits that never vary between two digits are skipped.
+/// The record_key bits that differ between two records of `data`: one
+/// pass takes the keys' OR and AND, and their XOR is returned. Zero when
+/// every key is equal.
 template <class R>
-void radix_sort_keys(std::span<R> data, std::span<R> scratch, CpuPool& pool) {
-  constexpr u32 kMaxDigitBits = 11;
+u64 varying_key_bits(std::span<const R> data, CpuPool& pool) {
   const usize n = data.size();
-  PDM_TRACE_SPAN_ARG("kernel", "insort_radix", "records", n);
   const usize chunks = std::clamp<usize>(n >> 14, usize{1}, usize{16});
   std::vector<u64> ors(chunks, 0);
   std::vector<u64> ands(chunks, ~u64{0});
@@ -76,7 +79,20 @@ void radix_sort_keys(std::span<R> data, std::span<R> scratch, CpuPool& pool) {
     any |= ors[c];
     all &= ands[c];
   }
-  const u64 varying = any ^ all;
+  return any ^ all;
+}
+
+/// LSD radix sort of `data` by record_key through `scratch` (at least
+/// data.size() records). Only the bits where the keys differ are sorted
+/// (varying_key_bits), in digits of at most 11 bits, and bits that never
+/// vary between two digits are skipped.
+template <class R>
+void radix_sort_keys(std::span<R> data, std::span<R> scratch, CpuPool& pool) {
+  constexpr u32 kMaxDigitBits = 11;
+  const usize n = data.size();
+  PDM_TRACE_SPAN_ARG("kernel", "insort_radix", "records", n);
+  const usize chunks = std::clamp<usize>(n >> 14, usize{1}, usize{16});
+  const u64 varying = varying_key_bits(std::span<const R>(data), pool);
   if (varying == 0) return;  // one key: the records are equal bytes
 
   const u32 lo = static_cast<u32>(std::countr_zero(varying));
@@ -109,6 +125,90 @@ void radix_sort_keys(std::span<R> data, std::span<R> scratch, CpuPool& pool) {
   }
 }
 
+/// Insertion sort of first[0, n) by record_key.
+template <class R>
+void insertion_sort_by_key(R* first, usize n) {
+  for (usize i = 1; i < n; ++i) {
+    const R r = first[i];
+    const u64 k = record_key(r);
+    usize j = i;
+    for (; j > 0 && k < record_key(first[j - 1]); --j) first[j] = first[j - 1];
+    first[j] = r;
+  }
+}
+
+/// In-place MSD radix sort of first[0, n) over the key bits in `bits`;
+/// the keys agree on every higher varying bit. The digit is the top 8 of
+/// those bits (fewer at the lowest one). One pass counts each bucket,
+/// then sweeps swap every record that sits outside its bucket to that
+/// bucket's next free slot until each bucket's free slots are used up:
+/// each swap places one record for good. Each bucket then recurses on the
+/// bits below the digit; at most 64 records take insertion sort instead.
+/// The two cursor arrays live on the stack, so a sort of 64-bit keys
+/// holds at most 8 levels of 4 KiB.
+template <class R>
+void radix_sort_in_place_below(R* first, usize n, u64 bits) {
+  constexpr u32 kDigitBits = 8;
+  constexpr usize kSmallBucket = 64;
+  if (n <= kSmallBucket) {
+    insertion_sort_by_key(first, n);
+    return;
+  }
+  if (bits == 0) return;  // equal keys: equal bytes
+  const u32 hi = 64 - static_cast<u32>(std::countl_zero(bits));
+  const u32 lo = std::max(hi > kDigitBits ? hi - kDigitBits : 0,
+                          static_cast<u32>(std::countr_zero(bits)));
+  const u64 rest = bits & ((u64{1} << lo) - 1);
+  const usize buckets = usize{1} << (hi - lo);
+  const u64 mask = buckets - 1;
+  auto digit = [lo, mask](const R& r) {
+    return static_cast<usize>((record_key(r) >> lo) & mask);
+  };
+  // next[b] is bucket b's first free slot, end[b] one past its last.
+  usize next[usize{1} << kDigitBits];
+  usize end[usize{1} << kDigitBits];
+  std::fill(end, end + buckets, usize{0});
+  for (usize i = 0; i < n; ++i) ++end[digit(first[i])];
+  if (end[digit(first[0])] == n) {  // one bucket: on to the next digit
+    radix_sort_in_place_below(first, n, rest);
+    return;
+  }
+  usize sum = 0;
+  for (usize b = 0; b < buckets; ++b) {
+    next[b] = sum;
+    sum += end[b];
+    end[b] = sum;
+  }
+  bool unplaced = true;
+  while (unplaced) {
+    unplaced = false;
+    for (usize b = 0; b < buckets; ++b) {
+      for (usize i = next[b]; i < end[b]; ++i) {
+        std::swap(first[i], first[next[digit(first[i])]++]);
+      }
+      unplaced |= next[b] < end[b];
+    }
+  }
+  usize start = 0;
+  for (usize b = 0; b < buckets; ++b) {
+    if (end[b] - start > 1) {
+      radix_sort_in_place_below(first + start, end[b] - start, rest);
+    }
+    start = end[b];
+  }
+}
+
+/// In-place MSD radix sort of `data` by record_key, for callers without
+/// scratch. Serial; the one pool region is varying_key_bits's pass.
+template <class R>
+void radix_sort_in_place(std::span<R> data, CpuPool& pool) {
+  PDM_TRACE_SPAN_ARG("kernel", "insort_radix_in_place", "records",
+                     data.size());
+  radix_sort_in_place_below(
+      data.data(), data.size(),
+      varying_key_bits(std::span<const R>(data), pool));
+}
+
 }  // namespace detail
 
 /// True when internal_sort_budgeted may sort R under Cmp by radix. Any
@@ -121,15 +221,17 @@ inline constexpr bool kRadixSortable =
 
 /// Inputs below this size take std::sort even when kRadixSortable holds:
 /// there the per-digit bucket arrays cost more than the comparisons.
-inline constexpr usize kRadixMinRecords = usize{1} << 11;
+inline constexpr usize kRadixMinRecords = usize{1} << 9;
 
 /// Sorts `data` on the in-core kernel budget (PdmContext::cpu_pool()).
 ///
-/// Radix path: when kRadixSortable<R, Cmp> holds, `scratch.size() >= n`
-/// and n >= kRadixMinRecords, sorts by radix at any budget (see
-/// detail::radix_sort_keys). partition_stable takes its chunk count from
-/// n only and returns the same bytes at every budget, and equal keys are
-/// equal bytes, so the output is std::sort's exactly.
+/// Radix paths: when kRadixSortable<R, Cmp> holds and n >=
+/// kRadixMinRecords, sorts by radix at any budget. With
+/// `scratch.size() >= n` that is the LSD sort (detail::radix_sort_keys);
+/// partition_stable takes its chunk count from n only and returns the
+/// same bytes at every budget. With less scratch it is the serial
+/// in-place MSD sort (detail::radix_sort_in_place). Equal keys are equal
+/// bytes, so both return std::sort's output exactly.
 ///
 /// Comparison path: at budget >= 2 with `scratch.size() >= n`, sorts
 /// chunks in parallel and merges them pairwise through the scratch. The
@@ -144,8 +246,12 @@ void internal_sort_budgeted(std::span<R> data, Cmp cmp, CpuPool& pool,
                             std::span<R> scratch) {
   const usize n = data.size();
   if constexpr (kRadixSortable<R, Cmp>) {
-    if (scratch.size() >= n && n >= kRadixMinRecords) {
-      detail::radix_sort_keys(data, scratch, pool);
+    if (n >= kRadixMinRecords) {
+      if (scratch.size() >= n) {
+        detail::radix_sort_keys(data, scratch, pool);
+      } else {
+        detail::radix_sort_in_place(data, pool);
+      }
       return;
     }
   }
@@ -235,8 +341,9 @@ void merge_budgeted(std::span<const R> a, std::span<const R> b,
 }
 
 /// Scratch for internal_sort_budgeted over up to `n` records, charged to
-/// the context's memory budget only when its kernel budget is >= 2; at
-/// budget 1 it is empty, so a serial sort's footprint carries no extra.
+/// the context's memory budget only when its kernel budget is >= 2. At
+/// budget 1 it is empty, so a serial sort's footprint carries no extra:
+/// radix keys then take the in-place radix path, other records std::sort.
 template <class R>
 TrackedBuffer<R> kernel_scratch(PdmContext& ctx, usize n) {
   if (ctx.cpu_budget() < 2) return {};

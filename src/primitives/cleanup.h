@@ -24,8 +24,9 @@
 // Where the merge runs: with kernel scratch (a kernel budget >= 2), the
 // new chunk is sorted alone and merged with the retained chunk into the
 // scratch by merge_budgeted; the lower part is emitted from there and the
-// upper part copied back to the window. Without scratch the whole window
-// is sorted in place, as one std::sort. Either way the window is the same
+// upper part copied back to the window. Without scratch (budget 1) the
+// whole window is sorted in place: by the in-place radix sort for radix
+// keys, else by std::sort (see insort.h). Either way the window is the same
 // multiset in sorted order, so records whose equal keys are equal bytes
 // come out byte-identical; for other records only the order among equal
 // keys may differ, as it may between kernel budgets (see insort.h).

@@ -111,7 +111,8 @@ FormedRuns<R> form_sorted_runs(PdmContext& ctx, const StripedRun<R>& input,
   TrackedBuffer<R> load(ctx.budget(), static_cast<usize>(run_len));
   // In-core kernel budget (PdmContext::cpu_budget): when the service
   // arbiter granted >= 2 threads, each memory load sorts in parallel
-  // through this scratch; at budget 1 it is empty and costs nothing.
+  // through this scratch; at budget 1 it is empty and costs nothing, and
+  // radix keys sort by the serial in-place radix sort.
   TrackedBuffer<R> scratch = kernel_scratch<R>(ctx, load.size());
   TrackedBuffer<R> parts_buf;
   if (m > 1) parts_buf = TrackedBuffer<R>(ctx.budget(), load.size());

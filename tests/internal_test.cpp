@@ -134,6 +134,8 @@ enum class KeySet {
   kPermutation,
   kUniform,
   kTopBit,  // only the key's top bit varies: bit 63 for u64, the sign of i8
+  kOddWidth,  // only bits 3..15 vary (bits 3..7 for 8-bit types)
+  kDeep,      // every key byte is 0x00 or 0xff: each radix level splits in 2
 };
 
 template <class T>
@@ -149,6 +151,16 @@ std::vector<T> radix_keys(usize n, KeySet set, Rng& rng) {
       case KeySet::kFewDistinct: x = few[rng.below(3)]; break;
       case KeySet::kPermutation: x = i; break;
       case KeySet::kTopBit: x = fixed | (rng.below(2) << (width - 1)); break;
+      case KeySet::kOddWidth: {
+        const u64 bits = u64{0x1fff} << 3;
+        x = (fixed & ~bits) | (rng.next() & bits);
+        break;
+      }
+      case KeySet::kDeep:
+        for (u32 byte = 0; byte < 8; ++byte) {
+          x |= rng.below(2) * (u64{0xff} << (8 * byte));
+        }
+        break;
       default: x = rng.next(); break;
     }
     v[i] = FromBits<T>::make(x);
@@ -176,21 +188,28 @@ using RadixKeyTypes =
                      KeyPair<i32, u32>, KeyPair<KeyPair<u16, u16>, u32>>;
 TYPED_TEST_SUITE(RadixKernel, RadixKeyTypes);
 
-// Every budget with full scratch takes the radix path above the threshold;
-// budget 4 with scratch one record short takes the comparison path. All
-// must return std::sort's bytes.
+// Above the threshold, every budget with full scratch takes the LSD radix
+// path, and budget 1 or 4 with no scratch or scratch one record short the
+// in-place radix path. All must return std::sort's bytes. kOddWidth's
+// last digit is narrower than a byte; kDeep keeps every bucket above the
+// insertion-sort cutoff down to the last byte of the key.
 TYPED_TEST(RadixKernel, MatchesStdSortBytes) {
   using T = TypeParam;
   static_assert(kRadixSortable<T, std::less<T>>);
   CpuPool pool1(1);
   CpuPool pool2(2);
   CpuPool pool4(4);
+  enum class Scratch { kFull, kOneShort, kNone };
   struct Config {
     CpuPool* pool;
-    bool full_scratch;
+    Scratch scratch;
   };
-  const Config configs[] = {
-      {&pool1, true}, {&pool2, true}, {&pool4, true}, {&pool4, false}};
+  const Config configs[] = {{&pool1, Scratch::kFull},
+                            {&pool2, Scratch::kFull},
+                            {&pool4, Scratch::kFull},
+                            {&pool4, Scratch::kOneShort},
+                            {&pool1, Scratch::kNone},
+                            {&pool4, Scratch::kNone}};
   const usize sizes[] = {0,
                          1,
                          kRadixMinRecords - 1,
@@ -201,19 +220,22 @@ TYPED_TEST(RadixKernel, MatchesStdSortBytes) {
   Rng rng(11);
   for (KeySet set : {KeySet::kAllEqual, KeySet::kFewDistinct, KeySet::kSorted,
                      KeySet::kReverse, KeySet::kPermutation, KeySet::kUniform,
-                     KeySet::kTopBit}) {
+                     KeySet::kTopBit, KeySet::kOddWidth, KeySet::kDeep}) {
     for (usize n : sizes) {
       const auto input = radix_keys<T>(n, set, rng);
       auto expect = input;
       std::sort(expect.begin(), expect.end());
       for (const Config& c : configs) {
         auto got = input;
-        std::vector<T> scratch(c.full_scratch || n == 0 ? n : n - 1);
+        usize len = 0;
+        if (c.scratch == Scratch::kFull) len = n;
+        if (c.scratch == Scratch::kOneShort && n > 0) len = n - 1;
+        std::vector<T> scratch(len);
         internal_sort_budgeted(std::span<T>(got), std::less<T>{}, *c.pool,
                                std::span<T>(scratch));
         ASSERT_TRUE(same_bytes(got, expect))
             << "set " << static_cast<int>(set) << " n " << n << " budget "
-            << c.pool->budget() << " full scratch " << c.full_scratch;
+            << c.pool->budget() << " scratch " << len;
       }
     }
   }
