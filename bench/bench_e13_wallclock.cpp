@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
   const u64 latency_us = cli.get_u64("latency_us", 200);
   const usize async_depth = static_cast<usize>(cli.get_u64("async_depth", 4));
   const u64 repeats = std::max<u64>(1, cli.get_u64("repeats", 5));
-  const std::string json_out = cli.get("json_out", "BENCH_PR25.json");
+  const std::string json_out = cli.get("json_out", "BENCH_PR27.json");
   std::cout << "\n-- async pipeline overlap (memory backend, simulated "
             << latency_us << "us/op latency, depth " << async_depth << ", "
             << repeats << " interleaved pairs; medians) --\n";

@@ -51,17 +51,44 @@ void BM_ParallelSort(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelSort)->Arg(1 << 18)->Arg(1 << 21);
 
-// The in-core kernel as the sorters call it. Args: n, then 0 = permutation
-// of 0..n-1 (only the low log2(n) key bits vary), 1 = uniform 64-bit keys,
-// then the kernel budget. `with_scratch` passes scratch for every record
-// (u64 keys take the LSD radix path) or none, as every budget-1 sorter
-// calls it (kernel_scratch is empty there).
+// Keys for the in-core kernel rows: 0 = permutation of 0..n-1 (only the
+// low log2(n) key bits vary), 1 = uniform 64-bit keys, 2 = that
+// permutation with one key moved to 2^40 (one top-digit bucket holds all
+// but one record), 3 = 16-bit keys with 1% uniform 64-bit keys among them.
+std::vector<u64> kernel_keys(usize n, i64 shape, Rng& rng) {
+  if (shape < 2) {
+    return make_keys(n, shape == 0 ? Dist::kPermutation : Dist::kUniform,
+                     rng);
+  }
+  std::vector<u64> v(n);
+  if (shape == 2) {
+    v = make_keys(n, Dist::kPermutation, rng);
+    v[rng.below(n)] = u64{1} << 40;
+  } else {
+    for (u64& k : v) k = rng.below(100) == 0 ? rng.next() : rng.below(1 << 16);
+  }
+  return v;
+}
+
+const char* kernel_keys_name(i64 shape) {
+  switch (shape) {
+    case 0: return "permutation";
+    case 1: return "uniform";
+    case 2: return "outlier";
+    default: return "sparse-wide";
+  }
+}
+
+// The in-core kernel as the sorters call it. Args: n, the key shape
+// (kernel_keys), then the kernel budget. `with_scratch` passes scratch for
+// every record (u64 keys take the distributing radix path) or none, as
+// every budget-1 sorter calls it (kernel_scratch is empty there; the
+// in-place radix path).
 void time_internal_sort(benchmark::State& state, bool with_scratch) {
   const usize n = static_cast<usize>(state.range(0));
-  const Dist dist = state.range(1) == 0 ? Dist::kPermutation : Dist::kUniform;
   CpuPool pool(static_cast<usize>(state.range(2)));
   Rng rng(6);
-  const auto base = make_keys(n, dist, rng);
+  const auto base = kernel_keys(n, state.range(1), rng);
   std::vector<u64> v(n);
   std::vector<u64> scratch(with_scratch ? n : 0);
   for (auto _ : state) {
@@ -73,16 +100,19 @@ void time_internal_sort(benchmark::State& state, bool with_scratch) {
     benchmark::DoNotOptimize(v.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel(dist_name(dist));
+  state.SetLabel(kernel_keys_name(state.range(1)));
   state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
                           static_cast<i64>(n * sizeof(u64)));
 }
 
+// Mid sizes (2^15, 2^16) show whether the kernel budget pays there; the
+// skewed rows leave one top-digit bucket far above the cache.
 void BM_InternalSort(benchmark::State& state) {
   time_internal_sort(state, true);
 }
 BENCHMARK(BM_InternalSort)
-    ->ArgsProduct({{1 << 18, 1 << 20}, {0, 1}, {1, 4}})
+    ->ArgsProduct({{1 << 15, 1 << 16, 1 << 18, 1 << 20}, {0, 1}, {1, 4}})
+    ->ArgsProduct({{1 << 20}, {2, 3}, {4}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -91,6 +121,7 @@ void BM_InternalSortNoScratch(benchmark::State& state) {
 }
 BENCHMARK(BM_InternalSortNoScratch)
     ->ArgsProduct({{1 << 18, 1 << 20}, {0, 1}, {1}})
+    ->Args({1 << 14, 1, 1})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

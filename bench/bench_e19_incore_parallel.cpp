@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
 
   const u64 n_kernel = cli.get_u64("n_kernel", u64{1} << 21);
   const double gate = cli.get_double("gate", 0.0);
-  const std::string json_out = cli.get("json_out", "BENCH_PR25.json");
+  const std::string json_out = cli.get("json_out", "BENCH_PR27.json");
 
   JsonWriter jw;
   jw.begin_obj();

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   const auto g = Geom::square(mem);
   const u64 n = cli.get_u64("n", 8 * mem);
   const double wall_slack = cli.get_double("wall_slack", 1.25);
-  const std::string json_out = cli.get("json_out", "BENCH_PR25.json");
+  const std::string json_out = cli.get("json_out", "BENCH_PR27.json");
 
   JsonWriter jw;
   jw.begin_obj();

@@ -57,6 +57,7 @@ int main(int argc, char** argv) {
          "compounding: every MSD round rereads the previous round's "
          "padded blocks (~1.5x per level in paper mode). The staged "
          "extension (carrying partial bucket blocks in memory) removes "
-         "most of the gap; EXPERIMENTS.md E9 tabulates the decomposition.\n";
+         "0.15-0.6 passes of it; docs/ALGORITHMS.md (RadixSort) tabulates "
+         "the measured passes.\n";
   return 0;
 }

@@ -1,7 +1,7 @@
 // Shared helpers for the experiment harness (bench_e*). Every binary
 // prints (a) the experiment id and the paper claim it regenerates, and
-// (b) one or more markdown tables whose rows are recorded in
-// EXPERIMENTS.md as paper-vs-measured. Benches that track the perf
+// (b) one or more markdown tables whose rows docs/ALGORITHMS.md records
+// as paper-vs-measured. Benches that track the perf
 // trajectory additionally emit a machine-readable section into a shared
 // JSON file (JsonWriter + json_file_update below).
 #pragma once

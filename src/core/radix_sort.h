@@ -5,9 +5,10 @@
 // bucket fits in memory it is read, sorted internally and appended to the
 // output (the paper's step A, folded into the recursion as the leaf case).
 // For random keys each round shrinks buckets by ~M/B, giving the
-// (1+nu) * log(N/M)/log(M/B) + 1 pass bound; Observation 7.2's example
-// (N = M^2, B = sqrt(M), C = 4) lands at <= 3.6 passes, which
-// bench_e9_radix_sort reproduces.
+// (1+nu) * log(N/M)/log(M/B) + 1 pass bound. Observation 7.2 quotes at
+// most 3.6 passes for N = M^2, B = sqrt(M), C = 4; bench_e9_radix_sort
+// measures 4.7-4.8 passes at N = M^2/2 and 5.9 at N = M^2
+// (docs/ALGORITHMS.md tabulates them and the causes).
 #pragma once
 
 #include "core/integer_sort.h"
@@ -41,6 +42,21 @@ struct RadixState {
   u64 rounds = 0;         // distribution rounds executed (for reporting)
   u64 max_depth = 0;
 };
+
+/// Sorts `recs` by record_key on the kernel budget. For radix keys
+/// std::less orders as record_key does, so they pass it and take the
+/// kernel's radix paths; other records compare their projected keys.
+template <Record R>
+void sort_by_key(std::span<R> recs, CpuPool& pool, std::span<R> scratch) {
+  if constexpr (kRadixKey<R>) {
+    internal_sort_budgeted(recs, std::less<>{}, pool, scratch);
+  } else {
+    internal_sort_budgeted(
+        recs,
+        [](const R& a, const R& b) { return record_key(a) < record_key(b); },
+        pool, scratch);
+  }
+}
 
 template <Record R>
 void radix_recurse(RadixState<R>& st, RecordReader<R>& reader, u32 shift,
@@ -89,11 +105,7 @@ void radix_recurse(RadixState<R>& st, RecordReader<R>& reader, u32 shift,
     trace::TraceSpan trace_span("pass", "radix_leaf_sort", "records",
                                 group_n);
     std::span<R> recs(st.leaf_buf->data(), group_n);
-    auto cmp = [](const R& a, const R& b) {
-      return record_key(a) < record_key(b);
-    };
-    internal_sort_budgeted(recs, cmp, st.ctx->cpu_pool(),
-                           st.scratch_buf->span());
+    sort_by_key(recs, st.ctx->cpu_pool(), st.scratch_buf->span());
     st.out->append(std::span<const R>(recs.data(), recs.size()));
     group_n = 0;
   };
@@ -149,9 +161,6 @@ SortResult<R> radix_sort(PdmContext& ctx, const StripedRun<R>& input,
   SortResult<R> result;
   result.output = StripedRun<R>(ctx, 0);
 
-  auto key_cmp = [](const R& a, const R& b) {
-    return record_key(a) < record_key(b);
-  };
   if (input.size() <= mem) {
     // Fits in memory: one read + one write pass.
     TrackedBuffer<R> buf(ctx.budget(), static_cast<usize>(mem));
@@ -162,7 +171,7 @@ SortResult<R> radix_sort(PdmContext& ctx, const StripedRun<R>& input,
       n += reader.read_up_to(buf.data() + n, buf.size() - n);
     }
     std::span<R> recs(buf.data(), n);
-    internal_sort_budgeted(recs, key_cmp, ctx.cpu_pool(), scratch.span());
+    detail::sort_by_key(recs, ctx.cpu_pool(), scratch.span());
     result.output.append(std::span<const R>(recs.data(), n));
     result.output.finish();
     result.report = rb.finish();

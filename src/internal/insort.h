@@ -6,14 +6,17 @@
 // budget (the thread count is the context's, never a sorter option):
 //  - radix with scratch: records whose key is an integer or a
 //    padding-free KeyPair of integers, under std::less, with scratch for
-//    all n records. An LSD radix sort over the key bits that vary, one
-//    partition_stable call per digit, ping-ponging between the data and
-//    the scratch.
+//    all n records. Over the key bits that vary, one partition_stable
+//    call distributes the records into the scratch by the top digit, and
+//    one region sorts every bucket back into the data while it stays in
+//    cache, by a bucket-local LSD radix sort (radix_sort_bucket).
 //  - radix in place: the same records without that scratch, as every
 //    budget-1 sorter calls it. An MSD (American flag) radix sort over the
-//    same bits, one byte per level, that swaps records into their
-//    buckets and recurses into each; serial, and it allocates nothing
-//    that grows with n.
+//    same bits, at most one byte per level, that swaps records into their
+//    buckets and recurses into each; small buckets with at most two bytes
+//    of key left end in the same bucket-local LSD sort through a buffer
+//    of constant size. Serial, and it allocates nothing that grows with
+//    n.
 //  - comparison: everything else. std::sort for small inputs or a serial
 //    budget, and a chunked parallel mergesort through the scratch when
 //    the budget allows it.
@@ -26,8 +29,10 @@
 #include <bit>
 #include <concepts>
 #include <functional>
+#include <memory>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "internal/radix_partition.h"
@@ -82,49 +87,6 @@ u64 varying_key_bits(std::span<const R> data, CpuPool& pool) {
   return any ^ all;
 }
 
-/// LSD radix sort of `data` by record_key through `scratch` (at least
-/// data.size() records). Only the bits where the keys differ are sorted
-/// (varying_key_bits), in digits of at most 11 bits, and bits that never
-/// vary between two digits are skipped.
-template <class R>
-void radix_sort_keys(std::span<R> data, std::span<R> scratch, CpuPool& pool) {
-  constexpr u32 kMaxDigitBits = 11;
-  const usize n = data.size();
-  PDM_TRACE_SPAN_ARG("kernel", "insort_radix", "records", n);
-  const usize chunks = std::clamp<usize>(n >> 14, usize{1}, usize{16});
-  const u64 varying = varying_key_bits(std::span<const R>(data), pool);
-  if (varying == 0) return;  // one key: the records are equal bytes
-
-  const u32 lo = static_cast<u32>(std::countr_zero(varying));
-  const u32 hi = 64 - static_cast<u32>(std::countl_zero(varying));
-  const u32 digits = (hi - lo + kMaxDigitBits - 1) / kMaxDigitBits;
-  const u32 bits = (hi - lo + digits - 1) / digits;
-  const u64 mask = (u64{1} << bits) - 1;
-  std::vector<u64> counts(usize{1} << bits);
-  std::span<R> src = data;
-  std::span<R> dst = scratch.first(n);
-  u32 shift = lo;
-  while (true) {
-    partition_stable(
-        std::span<const R>(src), dst, counts.size(),
-        [shift, mask](const R& r) {
-          return static_cast<usize>((record_key(r) >> shift) & mask);
-        },
-        pool, std::span<u64>(counts));
-    std::swap(src, dst);
-    shift += bits;
-    if (shift >= hi) break;
-    shift += static_cast<u32>(std::countr_zero(varying >> shift));
-  }
-  if (src.data() != data.data()) {
-    pool.parallel_ranges(0, n, chunks, [&](usize b, usize e) {
-      std::copy(src.begin() + static_cast<std::ptrdiff_t>(b),
-                src.begin() + static_cast<std::ptrdiff_t>(e),
-                data.begin() + static_cast<std::ptrdiff_t>(b));
-    });
-  }
-}
-
 /// Insertion sort of first[0, n) by record_key.
 template <class R>
 void insertion_sort_by_key(R* first, usize n) {
@@ -137,17 +99,166 @@ void insertion_sort_by_key(R* first, usize n) {
   }
 }
 
-/// In-place MSD radix sort of first[0, n) over the key bits in `bits`;
-/// the keys agree on every higher varying bit. The digit is the top 8 of
-/// those bits (fewer at the lowest one). One pass counts each bucket,
-/// then sweeps swap every record that sits outside its bucket to that
-/// bucket's next free slot until each bucket's free slots are used up:
-/// each swap places one record for good. Each bucket then recurses on the
-/// bits below the digit; at most 64 records take insertion sort instead.
-/// The two cursor arrays live on the stack, so a sort of 64-bit keys
-/// holds at most 8 levels of 4 KiB.
+/// A bucket of radix_sort_keys's top digit with more records than this
+/// would not stay in cache: it is distributed again instead.
+inline constexpr usize kRadixBigBucket = usize{1} << 14;
+/// The in-place path finishes a bucket of at most this many records whose
+/// remaining key bits span at most two bytes by radix_sort_bucket through
+/// a buffer of this size.
+inline constexpr usize kRadixLocalRecords = 4096;
+
+/// LSD radix sort of n records by the key bits in `bits` (the keys agree
+/// on every other bit) for a bucket that stays in cache. The records sit
+/// in `other` when `in_other` holds, else in `data`; they end sorted in
+/// `data`, and `other` (n records) is the second buffer. Digits are at
+/// most 8 bits wide. One pass takes every digit's histogram and drops the
+/// digits on which all n records agree; the rest alternate between the
+/// two buffers, after one copy when their count would leave the records
+/// in `other`. At most 32 records take insertion sort. Callers pass
+/// buckets of at most kRadixBigBucket records, so 32-bit counts hold them.
 template <class R>
-void radix_sort_in_place_below(R* first, usize n, u64 bits) {
+void radix_sort_bucket(R* data, R* other, usize n, u64 bits, bool in_other) {
+  constexpr u32 kDigitBits = 8;
+  constexpr u32 kMaxDigits = 64 / kDigitBits;
+  constexpr usize kInsertionRecords = 32;
+  R* src = in_other ? other : data;
+  R* dst = in_other ? data : other;
+  if (n <= kInsertionRecords || bits == 0) {
+    if (in_other) std::copy(src, src + n, data);
+    if (bits != 0) insertion_sort_by_key(data, n);
+    return;
+  }
+  const u32 lo = static_cast<u32>(std::countr_zero(bits));
+  const u32 hi = 64 - static_cast<u32>(std::countl_zero(bits));
+  const u32 digits = (hi - lo + kDigitBits - 1) / kDigitBits;
+  const u32 width = (hi - lo + digits - 1) / digits;
+  const u64 mask = (u64{1} << width) - 1;
+  // Digits start at the lowest bit; bits that never vary between two
+  // digits are skipped.
+  u32 shift[kMaxDigits] = {};
+  u32 count = 0;
+  for (u32 s = lo;; s += static_cast<u32>(std::countr_zero(bits >> s))) {
+    shift[count++] = s;
+    s += width;
+    if (s >= hi) break;
+  }
+  u32 hist[kMaxDigits][usize{1} << kDigitBits];
+  for (u32 d = 0; d < count; ++d) std::fill_n(hist[d], mask + 1, u32{0});
+  for (usize i = 0; i < n; ++i) {
+    const u64 k = record_key(src[i]);
+    for (u32 d = 0; d < count; ++d) ++hist[d][(k >> shift[d]) & mask];
+  }
+  u32 kept[kMaxDigits] = {};
+  u32 sorts = 0;
+  const u64 k0 = record_key(src[0]);
+  for (u32 d = 0; d < count; ++d) {
+    if (hist[d][(k0 >> shift[d]) & mask] != n) kept[sorts++] = d;
+  }
+  if ((src == data) == (sorts % 2 == 1)) {
+    std::copy(src, src + n, dst);
+    std::swap(src, dst);
+  }
+  for (u32 j = 0; j < sorts; ++j) {
+    const u32 d = kept[j];
+    const u32 s = shift[d];
+    u32* next = hist[d];
+    u32 sum = 0;
+    for (u64 b = 0; b <= mask; ++b) sum += std::exchange(next[b], sum);
+    for (usize i = 0; i < n; ++i) {
+      dst[next[(record_key(src[i]) >> s) & mask]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+}
+
+/// Radix sort of n records by record_key; internal_sort_budgeted passes
+/// its scratch as `other`. The records sit in `other` when `in_other`
+/// holds, else in `data`; they end sorted in `data`, and `other` (n
+/// records) is the second buffer. The top digit is the top t bits of
+/// those where the keys differ (varying_key_bits), t <= 11 chosen from n
+/// so that buckets average about 2^9 records. One partition_stable call
+/// moves the records into the other buffer by that digit; one region then
+/// sorts each bucket back by radix_sort_bucket, threads taking groups of
+/// consecutive buckets. A bucket of more than kRadixBigBucket records
+/// (skewed keys) is left out of that region and sorted afterwards by this
+/// function on its own slices, which finds its own varying bits and
+/// distributes it in parallel again.
+template <class R>
+void radix_sort_keys(R* data, R* other, usize n, bool in_other,
+                     CpuPool& pool) {
+  constexpr u32 kTopDigitBits = 11;
+  constexpr u32 kBucketLog = 9;
+  PDM_TRACE_SPAN_ARG("kernel", "insort_radix", "records", n);
+  R* src = in_other ? other : data;
+  R* dst = in_other ? data : other;
+  const u64 varying = varying_key_bits(std::span<const R>(src, n), pool);
+  if (varying == 0) {  // one key: any order is sorted
+    if (in_other) {
+      pool.parallel_ranges(0, n, std::clamp<usize>(n >> 14, 1, 16),
+                           [&](usize b, usize e) {
+                             std::copy(src + b, src + e, data + b);
+                           });
+    }
+    return;
+  }
+  const u32 hi = 64 - static_cast<u32>(std::countl_zero(varying));
+  const u32 span = hi - static_cast<u32>(std::countr_zero(varying));
+  const u32 log_n = static_cast<u32>(std::bit_width(n)) - 1;
+  const u32 t = std::min(
+      {kTopDigitBits, span, std::max(log_n, kBucketLog + 1) - kBucketLog});
+  const u32 shift = hi - t;
+  const u64 mask = (u64{1} << t) - 1;
+  const u64 rest = varying & ((u64{1} << shift) - 1);
+  const usize buckets = usize{1} << t;
+  // bounds[b] is bucket b's first record, bounds[buckets] == n.
+  std::vector<u64> bounds(buckets + 1);
+  partition_stable(
+      std::span<const R>(src, n), std::span<R>(dst, n), buckets,
+      [shift, mask](const R& r) {
+        return static_cast<usize>((record_key(r) >> shift) & mask);
+      },
+      pool, std::span<u64>(bounds).first(buckets));
+  u64 sum = 0;
+  for (u64& b : bounds) sum += std::exchange(b, sum);
+  // Group g takes the buckets that start in [n*g/groups, n*(g+1)/groups).
+  const usize groups = std::clamp<usize>(n >> 12, 1, 64);
+  auto first_bucket = [&](usize g) {
+    return static_cast<usize>(
+        std::lower_bound(bounds.begin(), bounds.end() - 1, n * g / groups) -
+        bounds.begin());
+  };
+  pool.run_chunks(groups, [&](usize g) {
+    const usize last = first_bucket(g + 1);
+    for (usize b = first_bucket(g); b < last; ++b) {
+      const usize len = bounds[b + 1] - bounds[b];
+      if (len <= kRadixBigBucket) {
+        radix_sort_bucket(data + bounds[b], other + bounds[b], len, rest,
+                          !in_other);
+      }
+    }
+  });
+  for (usize b = 0; b < buckets; ++b) {
+    const usize len = bounds[b + 1] - bounds[b];
+    if (len > kRadixBigBucket) {
+      radix_sort_keys(data + bounds[b], other + bounds[b], len, !in_other,
+                      pool);
+    }
+  }
+}
+
+/// In-place MSD radix sort of first[0, n) over the key bits in `bits`;
+/// the keys agree on every higher varying bit. A bucket of at most
+/// kRadixLocalRecords records whose bits span at most two bytes is
+/// finished by radix_sort_bucket through `buf`. Otherwise the digit is
+/// the top bits of `bits`: 8, or fewer when n is small, and fewer at the
+/// lowest bit. One pass counts each bucket, then sweeps swap every record
+/// that sits outside its bucket to that bucket's next free slot until each
+/// bucket's free slots are used up: each swap places one record for good.
+/// Each bucket then recurses on the bits below the digit; at most 64
+/// records take insertion sort instead. The two cursor arrays live on the
+/// stack, so a sort of 64-bit keys holds at most 8 levels of 4 KiB.
+template <class R>
+void radix_sort_in_place_below(R* first, usize n, u64 bits, R* buf) {
   constexpr u32 kDigitBits = 8;
   constexpr usize kSmallBucket = 64;
   if (n <= kSmallBucket) {
@@ -156,8 +267,15 @@ void radix_sort_in_place_below(R* first, usize n, u64 bits) {
   }
   if (bits == 0) return;  // equal keys: equal bytes
   const u32 hi = 64 - static_cast<u32>(std::countl_zero(bits));
-  const u32 lo = std::max(hi > kDigitBits ? hi - kDigitBits : 0,
-                          static_cast<u32>(std::countr_zero(bits)));
+  const u32 low = static_cast<u32>(std::countr_zero(bits));
+  if (n <= kRadixLocalRecords && hi - low <= 2 * kDigitBits) {
+    radix_sort_bucket(first, buf, n, bits, false);
+    return;
+  }
+  // Below 2^10 records, 4 to 8 records per bucket.
+  const u32 width =
+      std::min(kDigitBits, static_cast<u32>(std::bit_width(n)) - 3);
+  const u32 lo = std::max(hi > width ? hi - width : 0, low);
   const u64 rest = bits & ((u64{1} << lo) - 1);
   const usize buckets = usize{1} << (hi - lo);
   const u64 mask = buckets - 1;
@@ -170,7 +288,7 @@ void radix_sort_in_place_below(R* first, usize n, u64 bits) {
   std::fill(end, end + buckets, usize{0});
   for (usize i = 0; i < n; ++i) ++end[digit(first[i])];
   if (end[digit(first[0])] == n) {  // one bucket: on to the next digit
-    radix_sort_in_place_below(first, n, rest);
+    radix_sort_in_place_below(first, n, rest, buf);
     return;
   }
   usize sum = 0;
@@ -192,21 +310,25 @@ void radix_sort_in_place_below(R* first, usize n, u64 bits) {
   usize start = 0;
   for (usize b = 0; b < buckets; ++b) {
     if (end[b] - start > 1) {
-      radix_sort_in_place_below(first + start, end[b] - start, rest);
+      radix_sort_in_place_below(first + start, end[b] - start, rest, buf);
     }
     start = end[b];
   }
 }
 
 /// In-place MSD radix sort of `data` by record_key, for callers without
-/// scratch. Serial; the one pool region is varying_key_bits's pass.
+/// scratch. Serial; the one pool region is varying_key_bits's pass. The
+/// buffer for the buckets it finishes by LSD holds at most
+/// kRadixLocalRecords records, whatever n is.
 template <class R>
 void radix_sort_in_place(std::span<R> data, CpuPool& pool) {
   PDM_TRACE_SPAN_ARG("kernel", "insort_radix_in_place", "records",
                      data.size());
+  const auto buf = std::make_unique_for_overwrite<R[]>(
+      std::min(data.size(), kRadixLocalRecords));
   radix_sort_in_place_below(
       data.data(), data.size(),
-      varying_key_bits(std::span<const R>(data), pool));
+      varying_key_bits(std::span<const R>(data), pool), buf.get());
 }
 
 }  // namespace detail
@@ -227,11 +349,13 @@ inline constexpr usize kRadixMinRecords = usize{1} << 9;
 ///
 /// Radix paths: when kRadixSortable<R, Cmp> holds and n >=
 /// kRadixMinRecords, sorts by radix at any budget. With
-/// `scratch.size() >= n` that is the LSD sort (detail::radix_sort_keys);
-/// partition_stable takes its chunk count from n only and returns the
-/// same bytes at every budget. With less scratch it is the serial
-/// in-place MSD sort (detail::radix_sort_in_place). Equal keys are equal
-/// bytes, so both return std::sort's output exactly.
+/// `scratch.size() >= n` that is one parallel distribution by the top
+/// varying digit followed by bucket-local LSD sorts
+/// (detail::radix_sort_keys); partition_stable takes its chunk count from
+/// n only, and each bucket's sort is serial, so every budget returns the
+/// same bytes. With less scratch it is the serial in-place MSD sort
+/// (detail::radix_sort_in_place). Equal keys are equal bytes, so both
+/// return std::sort's output exactly.
 ///
 /// Comparison path: at budget >= 2 with `scratch.size() >= n`, sorts
 /// chunks in parallel and merges them pairwise through the scratch. The
@@ -248,7 +372,7 @@ void internal_sort_budgeted(std::span<R> data, Cmp cmp, CpuPool& pool,
   if constexpr (kRadixSortable<R, Cmp>) {
     if (n >= kRadixMinRecords) {
       if (scratch.size() >= n) {
-        detail::radix_sort_keys(data, scratch, pool);
+        detail::radix_sort_keys(data.data(), scratch.data(), n, false, pool);
       } else {
         detail::radix_sort_in_place(data, pool);
       }

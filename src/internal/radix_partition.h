@@ -1,6 +1,6 @@
 // In-memory stable counting partition by a digit: the CPU kernel inside
-// IntegerSort's distribution phase (§7), and one digit of the radix path
-// of internal_sort_budgeted.
+// IntegerSort's distribution phase (§7), and the distribution by the top
+// varying digit in internal_sort_budgeted's radix path with scratch.
 #pragma once
 
 #include <algorithm>

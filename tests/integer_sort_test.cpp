@@ -196,8 +196,9 @@ TEST(RadixSort, Observation72PassBudget) {
   // phase's padding but not its compounding: every MSD round rereads the
   // previous round's padded blocks (~1.5x volume per level), so the
   // honestly-measured figure is ~5.9 passes in paper mode and ~5.3 with
-  // the staged extension (EXPERIMENTS.md E9 discusses the gap). Constant
-  // number of passes for any N — the theorem's substance — holds.
+  // the staged extension (docs/ALGORITHMS.md, RadixSort, tabulates the
+  // gap). Constant number of passes for any N — the theorem's substance —
+  // holds.
   const u64 mem = 1024;
   const auto g = Geometry::square(mem);
   auto ctx = test::make_ctx<u64>(g);

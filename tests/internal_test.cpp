@@ -136,6 +136,8 @@ enum class KeySet {
   kTopBit,  // only the key's top bit varies: bit 63 for u64, the sign of i8
   kOddWidth,  // only bits 3..15 vary (bits 3..7 for 8-bit types)
   kDeep,      // every key byte is 0x00 or 0xff: each radix level splits in 2
+  kOutlier,   // keys in the low quarter of the bits, one at the top bit
+  kSparseWide,  // 16-bit keys, 1% of them full-width
 };
 
 template <class T>
@@ -160,6 +162,13 @@ std::vector<T> radix_keys(usize n, KeySet set, Rng& rng) {
         for (u32 byte = 0; byte < 8; ++byte) {
           x |= rng.below(2) * (u64{0xff} << (8 * byte));
         }
+        break;
+      case KeySet::kOutlier:
+        x = i == n / 2 ? u64{1} << (width - 1)
+                       : rng.next() & ((u64{1} << (width / 4)) - 1);
+        break;
+      case KeySet::kSparseWide:
+        x = rng.below(100) == 0 ? rng.next() : rng.next() & 0xffff;
         break;
       default: x = rng.next(); break;
     }
@@ -188,14 +197,21 @@ using RadixKeyTypes =
                      KeyPair<i32, u32>, KeyPair<KeyPair<u16, u16>, u32>>;
 TYPED_TEST_SUITE(RadixKernel, RadixKeyTypes);
 
-// Above the threshold, every budget with full scratch takes the LSD radix
-// path, and budget 1 or 4 with no scratch or scratch one record short the
-// in-place radix path. All must return std::sort's bytes. kOddWidth's
-// last digit is narrower than a byte; kDeep keeps every bucket above the
-// insertion-sort cutoff down to the last byte of the key.
+// Above the threshold, every budget with full scratch takes the
+// distributing radix path, and budget 1 or 4 with no scratch or scratch one
+// record short the in-place radix path. All must return std::sort's bytes.
+// kOddWidth's last digit is narrower than a byte; kDeep keeps every bucket
+// above the insertion-sort cutoff down to the last byte of the key.
+// kOutlier and kSparseWide put more than kRadixBigBucket records into one
+// top-digit bucket (32- and 64-bit keys from 2^15 records up, and kOutlier
+// at the largest size for every type), which is then distributed again
+// from the scratch into the data. The sizes kRadixLocalRecords and one
+// more put a permutation's whole input on either side of the in-place
+// path's bucket-local finish.
 TYPED_TEST(RadixKernel, MatchesStdSortBytes) {
   using T = TypeParam;
   static_assert(kRadixSortable<T, std::less<T>>);
+  static_assert((usize{1} << 15) * 99 / 100 > detail::kRadixBigBucket);
   CpuPool pool1(1);
   CpuPool pool2(2);
   CpuPool pool4(4);
@@ -214,13 +230,18 @@ TYPED_TEST(RadixKernel, MatchesStdSortBytes) {
                          1,
                          kRadixMinRecords - 1,
                          kRadixMinRecords,
+                         detail::kRadixLocalRecords,
+                         detail::kRadixLocalRecords + 1,
                          (usize{1} << 14) - 1,
                          (usize{1} << 14) + 1,
+                         usize{1} << 15,
+                         usize{1} << 16,
                          (usize{1} << 17) + 12345};
   Rng rng(11);
   for (KeySet set : {KeySet::kAllEqual, KeySet::kFewDistinct, KeySet::kSorted,
                      KeySet::kReverse, KeySet::kPermutation, KeySet::kUniform,
-                     KeySet::kTopBit, KeySet::kOddWidth, KeySet::kDeep}) {
+                     KeySet::kTopBit, KeySet::kOddWidth, KeySet::kDeep,
+                     KeySet::kOutlier, KeySet::kSparseWide}) {
     for (usize n : sizes) {
       const auto input = radix_keys<T>(n, set, rng);
       auto expect = input;
